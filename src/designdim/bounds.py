@@ -28,9 +28,11 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import comb
 
-from .designs import Design, SymmetricDesign, projective_plane
+from .designs import Design, SymmetricDesign, pencil_masks, projective_plane
 from .fields import prime_power
 from .resolve import (
+    _block_set_mask,
+    _signature_collision,
     pencil_table,
     sample_without_replacement,
     separator_masks,
@@ -282,14 +284,11 @@ def monte_carlo_success(
     v = d.v
     if not 0 <= s <= v:
         raise ValueError(f"s = {s} outside 0..{v}")
-    separators = separator_masks(pencil_table(d))
+    masks = pencil_masks(d)
     successes = 0
     for trial in range(1, trials + 1):
-        rng = trial_rng(seed, trial)
-        smask = 0
-        for b in sample_without_replacement(v, s, rng):
-            smask |= 1 << b
-        if all(sep & smask for sep in separators):
+        chosen = sample_without_replacement(v, s, trial_rng(seed, trial))
+        if _signature_collision(masks, _block_set_mask(chosen)) is None:
             successes += 1
     rate = successes / trials
     stderr = math.sqrt(rate * (1.0 - rate) / trials)

@@ -12,7 +12,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import sys
 
 from . import __version__
@@ -267,7 +266,7 @@ def _cmd_bounds(args) -> int:
                 if not args.bound_s:
                     print("give --s or --bound-s with --design", file=sys.stderr)
                     return EXIT_USAGE
-                s = math.ceil(v * math.log(v) / (d.k - d.lam))
+                s = resolve.semi_resolving_sample_size(d)
             expected = bounds_mod.design_expected_unresolved(d, s)
             body = {
                 "design": _design_summary(d),

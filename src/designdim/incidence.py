@@ -262,6 +262,9 @@ def from_edge_text(text: str) -> IncidenceGraph:
         raise ValueError(f"bad header line: {lines[0]!r}") from None
     if len(lines) - 1 != m:
         raise ValueError(f"expected {m} edge lines, found {len(lines) - 1}")
+    if not 1 <= n <= m + 1:
+        # checked before allocating: a connected graph has at least n - 1 edges
+        raise ValueError(f"{n} vertices cannot form a connected graph with {m} edges")
     adj = [[] for _ in range(n)]
     for ln in lines[1:]:
         toks = ln.split()

@@ -3,11 +3,14 @@
 A vertex set S resolves a graph when the vectors of hop distances to S are
 pairwise distinct.  On the incidence graph of a design, a block is at
 distance 1 from the points it contains and distance 3 from the rest, so a
-set of blocks distinguishes two points x and y exactly when it meets the
-symmetric difference of their pencils B(x) and B(y).  Semi-resolving
-questions therefore reduce to hitting-set problems over pencil symmetric
-differences, and exact metric dimension reduces to a hitting-set problem
-over per-pair separator sets.
+block set S separates points x and y exactly when B(x) & S != B(y) & S
+(S meets the pencil symmetric difference B(x) ^ B(y)).  Every separation
+question is answered by grouping points into signature classes by
+B(x) & S: the first repeated signature is the witness, and the class sizes
+give the unresolved-pair count.  The one greedy refines these classes by
+the candidate (a block, or a vertex's distance layers) splitting the most
+same-class pairs; exact search is a minimum hitting set over per-pair
+separator sets.
 
 Pair bookkeeping uses the flat triangular index (x, y) -> y*(y-1)//2 + x
 for x < y; reported witnesses are the smallest in that ordering.  All
@@ -20,6 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 
 from .designs import (
@@ -106,37 +110,33 @@ def _block_set_mask(blocks) -> int:
     return m
 
 
+def _signature_collision(masks, smask: int) -> tuple[int, int] | None:
+    """The first pair x < y in triangular order with masks[x] & smask ==
+    masks[y] & smask, or None when the restricted masks are pairwise
+    distinct."""
+    first: dict[int, int] = {}
+    for y, m in enumerate(masks):
+        x = first.setdefault(m & smask, y)
+        if x != y:
+            return (x, y)
+    return None
+
+
+def _unresolved_count(masks, smask: int) -> int:
+    """Number of pairs x < y with masks[x] & smask == masks[y] & smask."""
+    sizes = Counter(m & smask for m in masks)
+    return sum(c * (c - 1) // 2 for c in sizes.values())
+
+
 def semi_resolving_witness(d: Design, blocks) -> tuple[int, int] | None:
     """None if every point pair's pencil symmetric difference meets the given
     block set, else the first unseparated pair in triangular order.  This is
     the bitset route; it never looks at graph distances."""
-    masks = pencil_masks(d)
-    smask = _block_set_mask(blocks)
-    for y in range(len(masks)):
-        my = masks[y]
-        for x in range(y):
-            if not (masks[x] ^ my) & smask:
-                return (x, y)
-    return None
+    return _signature_collision(pencil_masks(d), _block_set_mask(blocks))
 
 
 def is_semi_resolving(d: Design, blocks) -> bool:
     return semi_resolving_witness(d, blocks) is None
-
-
-def _count_unresolved(masks, smask: int) -> int:
-    count = 0
-    for y in range(len(masks)):
-        my = masks[y]
-        for x in range(y):
-            if not (masks[x] ^ my) & smask:
-                count += 1
-    return count
-
-
-def unresolved_pair_count(d: Design, blocks) -> int:
-    """Number of point pairs not separated by the given block set."""
-    return _count_unresolved(pencil_masks(d), _block_set_mask(blocks))
 
 
 def symm_diff_sizes(d: Design) -> dict[int, int]:
@@ -162,14 +162,7 @@ def resolving_witness(g: IncidenceGraph, vertices) -> tuple[int, int] | None:
     for s in landmarks:
         if not 0 <= s < g.n:
             raise ValueError(f"landmark {s} out of range")
-    seen: dict[tuple[int, ...], int] = {}
-    for u in range(g.n):
-        row = g.dist[u]
-        vec = tuple(row[s] for s in landmarks)
-        if vec in seen:
-            return (seen[vec], u)
-        seen[vec] = u
-    return None
+    return side_resolving_witness(g, landmarks, range(g.n))
 
 
 def is_resolving(g: IncidenceGraph, vertices) -> bool:
@@ -182,7 +175,8 @@ def side_resolving_witness(g, landmarks, side_vertices) -> tuple[int, int] | Non
     landmarks = sorted(set(landmarks))
     seen: dict[tuple[int, ...], int] = {}
     for u in side_vertices:
-        vec = tuple(g.dist[u][s] for s in landmarks)
+        row = g.dist[u]
+        vec = tuple(row[s] for s in landmarks)
         if vec in seen:
             return (seen[vec], u)
         seen[vec] = u
@@ -289,8 +283,7 @@ def randomized_semi_resolving(
     for trial in range(1, max_retries + 1):
         rng = trial_rng(seed, trial)
         chosen = sample_without_replacement(v, s, rng)
-        smask = _block_set_mask(chosen)
-        unresolved = _count_unresolved(masks, smask)
+        unresolved = _unresolved_count(masks, _block_set_mask(chosen))
         if unresolved == 0:
             return SampledSemiResolvingSet(
                 blocks=tuple(sorted(chosen)), trials=trial, sample_size=s, seed=seed
@@ -306,43 +299,47 @@ def _require_valid(d: Design):
         raise ValueError(f"design does not validate: {rep.violations[0]}")
 
 
-def _require_separable(separators) -> None:
-    for p, sep in enumerate(separators):
-        if sep == 0:
-            x, y = pair_at(p)
-            raise ValueError(
-                f"points {x} and {y} lie in exactly the same blocks; no "
-                "semi-resolving set exists (complete bipartite incidence "
-                "graphs have no split resolving set)"
-            )
+def _require_separable(masks) -> None:
+    pair = _signature_collision(masks, -1)
+    if pair is not None:
+        x, y = pair
+        raise ValueError(
+            f"points {x} and {y} lie in exactly the same blocks; no "
+            "semi-resolving set exists (complete bipartite incidence "
+            "graphs have no split resolving set)"
+        )
+
+
+def _refinement_greedy(n_items: int, partitions) -> list[int]:
+    """Greedy separation by partition refinement.  partitions[i] lists the
+    parts (disjoint item bitsets covering every item) that candidate i
+    splits the items into.  Keeps the classes of items not yet told apart
+    and repeatedly takes the candidate splitting the most same-class pairs,
+    lowest index on ties.  Returns the candidates in the order taken."""
+    classes = [(1 << n_items) - 1]
+    chosen = []
+    while classes := [c for c in classes if c.bit_count() > 1]:
+        sized = [(c, c.bit_count()) for c in classes]
+        # twice the number of same-class pairs each candidate splits
+        gains = [
+            sum(n * n - sum((c & p).bit_count() ** 2 for p in parts) for c, n in sized)
+            for parts in partitions
+        ]
+        best = gains.index(max(gains))
+        assert gains[best] > 0, "callers check that the items are separable"
+        chosen.append(best)
+        classes = [c & p for c in classes for p in partitions[best]]
+    return chosen
 
 
 def greedy_semi_resolving(d: Design) -> tuple[int, ...]:
-    """Hitting-set greedy over pencil symmetric differences: take the block
-    separating the most still-unseparated pairs, lowest index on ties."""
+    """Greedy over blocks: take the block separating the most
+    still-unseparated point pairs, lowest index on ties."""
     _require_valid(d)
-    table = pencil_table(d)
-    separators = separator_masks(table)
-    _require_separable(separators)
-    n_blocks = table.block_count
-    pair_sets = [0] * n_blocks
-    for p, sep in enumerate(separators):
-        bit = 1 << p
-        while sep:
-            b = (sep & -sep).bit_length() - 1
-            pair_sets[b] |= bit
-            sep &= sep - 1
-    uncovered = (1 << len(separators)) - 1
-    chosen = []
-    while uncovered:
-        best_b, best_c = -1, 0
-        for b in range(n_blocks):
-            c = (pair_sets[b] & uncovered).bit_count()
-            if c > best_c:
-                best_b, best_c = b, c
-        chosen.append(best_b)
-        uncovered &= ~pair_sets[best_b]
-    result = tuple(sorted(chosen))
+    _require_separable(pencil_masks(d))
+    everything = (1 << d.point_count) - 1
+    blocks = [(m, everything ^ m) for m in map(_block_set_mask, d.blocks)]
+    result = tuple(sorted(_refinement_greedy(d.point_count, blocks)))
     assert is_semi_resolving(d, result)
     return result
 
@@ -350,22 +347,6 @@ def greedy_semi_resolving(d: Design) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # exact minimum hitting set (shared by min_semi_resolving and metric_dimension)
 # ---------------------------------------------------------------------------
-
-def _greedy_hitting_set(sets, n_elements: int) -> list[int]:
-    uncovered = list(sets)
-    chosen = []
-    while uncovered:
-        best_e, best_c = -1, 0
-        for e in range(n_elements):
-            bit = 1 << e
-            c = sum(1 for m in uncovered if m & bit)
-            if c > best_c:
-                best_e, best_c = e, c
-        chosen.append(best_e)
-        bit = 1 << best_e
-        uncovered = [m for m in uncovered if not m & bit]
-    return chosen
-
 
 def _minimum_hitting_set(sets, n_elements: int, budget: int | None, max_size: int | None = None):
     """Branch and bound for a minimum hitting set.
@@ -394,7 +375,14 @@ def _minimum_hitting_set(sets, n_elements: int, budget: int | None, max_size: in
             m &= m - 1
             covers[e] |= 1 << i
     if max_size is None:
-        best = sorted(_greedy_hitting_set(minimal, n_elements))
+        # greedy upper bound: the element hitting the most uncovered sets,
+        # lowest index on ties
+        best, uncovered = [], (1 << len(minimal)) - 1
+        while uncovered:
+            hits = [(c & uncovered).bit_count() for c in covers]
+            best.append(hits.index(max(hits)))
+            uncovered &= ~covers[best[-1]]
+        best.sort()
         best_size = len(best)
     else:
         best = None
@@ -459,9 +447,9 @@ def min_semi_resolving(
     if v > limit:
         raise ValueError(f"{v} points exceeds the exact-solver limit {limit}")
     _require_valid(d)
-    separators = separator_masks(pencil_table(d))
-    _require_separable(separators)
-    solution, _ = _minimum_hitting_set(separators, len(d.blocks), budget)
+    table = pencil_table(d)
+    _require_separable(table.masks)
+    solution, _ = _minimum_hitting_set(separator_masks(table), len(d.blocks), budget)
     assert is_semi_resolving(d, solution)
     return solution
 
@@ -507,16 +495,19 @@ def metric_dimension(
 ) -> MetricDimensionResult:
     """Exact metric dimension as a minimum hitting set over per-pair vertex
     separator sets.  Past the size limit, falls back to the greedy upper
-    bound plus the counting lower bound ceil(log(n)/log(diameter+1)),
-    flagged non-optimal."""
-    sets = _vertex_separator_sets(g)
+    bound (each vertex splits the others by their distance to it) plus the
+    counting lower bound ceil(log(n)/log(diameter+1)), flagged non-optimal."""
     if g.n > limit:
-        upper = sorted(_greedy_hitting_set(sets, g.n))
+        layers = [[0] * (g.diameter + 1) for _ in range(g.n)]
+        for w, row in enumerate(g.dist):
+            for x, dx in enumerate(row):
+                layers[w][dx] |= 1 << x
+        upper = sorted(_refinement_greedy(g.n, layers))
         lower = max(1, math.ceil(math.log(g.n) / math.log(g.diameter + 1)))
         return MetricDimensionResult(
             lower=lower, upper=len(upper), landmarks=tuple(upper), optimal=False
         )
-    solution, _ = _minimum_hitting_set(sets, g.n, budget)
+    solution, _ = _minimum_hitting_set(_vertex_separator_sets(g), g.n, budget)
     assert is_resolving(g, solution)
     return MetricDimensionResult(
         lower=len(solution), upper=len(solution), landmarks=solution, optimal=True
@@ -596,8 +587,8 @@ def split_resolving(
     if method not in ("random", "greedy", "exact"):
         raise ValueError(f"unknown method {method!r}")
     d_dual = dual(d)  # validates d
-    _require_separable(separator_masks(pencil_table(d)))
-    _require_separable(separator_masks(pencil_table(d_dual)))
+    _require_separable(pencil_masks(d))
+    _require_separable(pencil_masks(d_dual))
     if method == "exact":
         s_blocks = min_semi_resolving(d, budget=budget, limit=limit)
         s_points = min_semi_resolving(d_dual, budget=budget, limit=limit)

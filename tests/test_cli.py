@@ -188,6 +188,21 @@ def test_bounds_design_with_formula_size(capsys, tmp_path):
     assert report["E_num"] == 0
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["STD 1 1 1\n0\n0\n", "SD 1 1 1\n0\n", "SD 2 2 2\n0 1\n0 1\n", "STD 0 0 0\n"],
+    ids=["std111", "sd111", "sd222", "std000"],
+)
+def test_bounds_formula_size_rejects_degenerate_design(capsys, tmp_path, text):
+    design = tmp_path / "degenerate.txt"
+    design.write_text(text)
+    code, out, err = _run(capsys, "bounds", "--design", str(design), "--bound-s")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.strip()
+    assert "Traceback" not in err
+
+
 def test_bounds_sweep_csv(capsys):
     code, out, _ = _run(capsys, "bounds", "--sweep", "pg", "--qmax", "11")
     assert code == 0

@@ -194,3 +194,5 @@ def test_edge_text_rejects_garbage():
         dd.from_edge_text("G 4 1 2\n0 1\n2 3\n")
     with pytest.raises(ValueError):
         dd.from_edge_text("G 2 1 0\n0 7\n")
+    with pytest.raises(ValueError, match="connected"):
+        dd.from_edge_text("G 100000000 0 0\n")

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import designdim as dd
 from designdim.resolve import (
@@ -97,15 +99,17 @@ def test_characterizations_agree_on_random_subsets(small_corpus):
             ), name
 
 
-def test_semi_resolving_witness_is_first_in_triangular_order(fano):
-    table = dd.pencil_table(fano)
-    blocks = (0,)
-    witness = dd.semi_resolving_witness(fano, blocks)
-    seps = separator_masks(table)
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(data=st.data())
+def test_semi_resolving_witness_is_first_in_triangular_order(small_corpus, data):
+    d = small_corpus[data.draw(st.sampled_from(sorted(small_corpus)), label="design")]
+    blocks = data.draw(st.sets(st.integers(0, len(d.blocks) - 1)), label="blocks")
+    smask = sum(1 << b for b in blocks)
+    seps = separator_masks(dd.pencil_table(d))
     expected = next(
-        pair_at(p) for p, sep in enumerate(seps) if not sep & (1 << 0)
+        (pair_at(p) for p, sep in enumerate(seps) if not sep & smask), None
     )
-    assert witness == expected
+    assert dd.semi_resolving_witness(d, blocks) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +239,44 @@ def test_greedy_within_sample_bound(corpus):
         blocks = dd.greedy_semi_resolving(d)
         assert dd.is_semi_resolving(d, blocks), name
         assert len(blocks) <= bound, name
+
+
+def _pairwise_greedy(separators, n_elements):
+    """Reference: take the element separating the most still-unseparated
+    pairs (separators[p] is the element bitset separating pair p), lowest
+    index on ties."""
+    pairs_of = [0] * n_elements
+    for p, sep in enumerate(separators):
+        for e in range(n_elements):
+            if sep >> e & 1:
+                pairs_of[e] |= 1 << p
+    unseparated = (1 << len(separators)) - 1
+    chosen = []
+    while unseparated:
+        counts = [(m & unseparated).bit_count() for m in pairs_of]
+        chosen.append(counts.index(max(counts)))
+        unseparated &= ~pairs_of[chosen[-1]]
+    return tuple(sorted(chosen))
+
+
+def test_greedy_matches_pairwise_reference(corpus):
+    for name, d in corpus.items():
+        for base in (d, dd.dual(d)):
+            seps = separator_masks(dd.pencil_table(base))
+            expected = _pairwise_greedy(seps, len(base.blocks))
+            assert dd.greedy_semi_resolving(base) == expected, name
+
+
+def test_metric_dimension_fallback_matches_pairwise_reference(corpus_graphs):
+    for name in ("pg2", "pg3", "ba3", "hstd4", "hd8"):
+        g = corpus_graphs[name]
+        seps = [
+            sum(1 << x for x in range(g.n) if g.dist[u][x] != g.dist[w][x])
+            for w in range(g.n)
+            for u in range(w)
+        ]
+        expected = _pairwise_greedy(seps, g.n)
+        assert dd.metric_dimension(g, limit=0).landmarks == expected, name
 
 
 def test_greedy_rejects_invalid_design(fano):
