@@ -32,8 +32,8 @@ from .designs import Design, SymmetricDesign, pencil_masks, projective_plane
 from .fields import prime_power
 from .resolve import (
     _block_set_mask,
+    _sample_bound,
     _signature_collision,
-    pencil_table,
     sample_without_replacement,
     separator_masks,
     trial_rng,
@@ -310,7 +310,7 @@ def exhaustive_success_rate(d: Design, s: int) -> Fraction:
     v = d.v
     if not 0 <= s <= v:
         raise ValueError(f"s = {s} outside 0..{v}")
-    separators = separator_masks(pencil_table(d))
+    separators = separator_masks(pencil_masks(d))
     good = 0
     for combo in itertools.combinations(range(v), s):
         smask = 0
@@ -327,7 +327,7 @@ def exhaustive_expected_unresolved(d: Design, s: int) -> Fraction:
     v = d.v
     if not 0 <= s <= v:
         raise ValueError(f"s = {s} outside 0..{v}")
-    separators = separator_masks(pencil_table(d))
+    separators = separator_masks(pencil_masks(d))
     total = 0
     for combo in itertools.combinations(range(v), s):
         smask = 0
@@ -357,7 +357,7 @@ def projective_plane_sweep(qmax: int, mc_trials: int = 0, seed: int = 0):
             continue
         v, k, lam = q * q + q + 1, q + 1, 1
         m = 2 * (k - lam)
-        s = math.ceil(v * math.log(v) / (k - lam))
+        s = _sample_bound(v, k, lam)
         expected = expected_unresolved(v, m, s)
         report = inequality_chain(v, m, s)
         chain_ok = "skipped" if report.skipped else str(report.ok).lower()

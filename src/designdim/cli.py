@@ -1,9 +1,15 @@
 """Command-line frontend.
 
 Commands: construct, resolve, bounds, verify, export, classify.
-Exit codes: 0 success, 1 verification/solver failure, 2 usage or parse
-error.  Randomized commands always run from an explicit seed (default 0)
-and identical configurations produce byte-identical reports.
+Exit codes: 0 success; 1 when a parsed input fails validation or the
+computation fails (a witness is rejected, a solver gives up, a graph is
+not connected); 2 when the command line or an input file cannot be
+parsed, a named file cannot be read or written, or the options ask for
+something the input does not support.  main() applies this rule in one
+place.  Every exit 1 or 2 prints one line on stderr, except a rejected
+witness, which `resolve` and `verify` report in their JSON.  Randomized
+commands always run from an explicit seed (default 0) and identical
+configurations produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -21,6 +27,11 @@ from . import designs, incidence, resolve
 EXIT_OK, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
 
 
+class UsageError(Exception):
+    """The command line or an input file cannot be parsed (exit 2); a
+    ValueError out of a command is a failure (exit 1)."""
+
+
 def _print_json(payload: dict) -> None:
     print(json.dumps(payload, sort_keys=True, indent=2))
 
@@ -36,12 +47,15 @@ def _report(command: str, config: dict, body: dict) -> dict:
 
 
 def _load_design(path: str):
+    """The design in a file; a file that cannot be read or parsed is a
+    usage error."""
     try:
         with open(path, "r", encoding="ascii") as fh:
-            text = fh.read()
+            return designs.from_text(fh.read())
     except OSError as exc:
-        raise ValueError(f"cannot read {path}: {exc}") from None
-    return designs.from_text(text)
+        raise UsageError(f"cannot read {path}: {exc}") from None
+    except ValueError as exc:  # UnicodeDecodeError included
+        raise UsageError(str(exc)) from None
 
 
 def _design_summary(d) -> dict:
@@ -67,9 +81,8 @@ def _cmd_construct(args) -> int:
             d = designs.hadamard_std(designs.hadamard_matrix(int(args.parameter)))
         else:  # file
             d = _load_design(args.parameter)
-    except (designs.ConstructionError, ValueError) as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
+    except ValueError as exc:  # ConstructionError included
+        raise UsageError(str(exc)) from None
     report = designs.validate_design(d)
     with open(args.out, "w", encoding="ascii") as fh:
         fh.write(designs.to_text(d))
@@ -84,6 +97,8 @@ def _cmd_construct(args) -> int:
             },
         )
     )
+    if not report.ok:
+        print(report.violations[0], file=sys.stderr)
     return EXIT_OK if report.ok else EXIT_FAIL
 
 
@@ -99,11 +114,9 @@ def _resolve_bound(d) -> int | None:
 
 
 def _cmd_resolve(args) -> int:
-    try:
-        d = _load_design(args.design)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
+    if args.target == "full-mdim" and args.method == "random":
+        raise UsageError("full-mdim supports methods exact and greedy only")
+    d = _load_design(args.design)
     config = {
         "design": args.design,
         "method": args.method,
@@ -115,87 +128,59 @@ def _cmd_resolve(args) -> int:
         "limit": args.limit,
         "out": args.out,
     }
+    designs.require_valid(d)
     bound = _resolve_bound(d)
-    try:
-        if args.target in ("semi-points", "semi-blocks"):
-            base = d if args.target == "semi-points" else designs.dual(d)
-            trials = None
-            if args.method == "exact":
-                blocks = resolve.min_semi_resolving(base, budget=args.budget, limit=args.limit)
-            elif args.method == "greedy":
-                blocks = resolve.greedy_semi_resolving(base)
-            else:
-                size = args.s if args.s is not None else resolve.clamped_sample_size(base)
-                sampled = resolve.randomized_semi_resolving(
-                    base, s=size, seed=args.seed, max_retries=args.retries
-                )
-                blocks, trials = sampled.blocks, sampled.trials
-            role = args.target
-            indices = blocks
-            ok, detail = resolve.verify_witness(d, role, indices)
-            body = {
-                "role": role,
-                "size": len(indices),
-                "bound_s": bound,
-                "trials": trials,
-                "verified": ok,
-                "detail": detail,
-                "witness": list(indices),
-            }
-        elif args.target == "split":
-            split = resolve.split_resolving(
-                d,
-                method=args.method,
-                s=args.s,
-                seed=args.seed,
-                max_retries=args.retries,
-                budget=args.budget,
-                limit=args.limit,
-            )
-            role = "split"
-            indices = split.graph_vertices(d.point_count)
-            ok, detail = resolve.verify_witness(d, role, indices)
-            body = {
-                "role": role,
-                "size": split.size,
-                "points": list(split.points),
-                "blocks": list(split.blocks),
-                "bound_total": None if bound is None else 2 * bound,
-                "verified": ok,
-                "detail": detail,
-                "witness": list(indices),
-            }
-        elif args.target == "full-mdim":
-            if args.method == "random":
-                print("full-mdim supports methods exact and greedy only", file=sys.stderr)
-                return EXIT_USAGE
-            graph = incidence.incidence_graph(d)
-            limit = args.limit if args.method == "exact" else 0
-            result = resolve.metric_dimension(graph, limit=limit, budget=args.budget)
-            role = "full"
-            indices = result.landmarks
-            ok, detail = resolve.verify_witness(d, role, indices)
-            body = {
-                "role": role,
-                "mu_lower": result.lower,
-                "mu_upper": result.upper,
-                "optimal": result.optimal,
-                "size": len(indices),
-                "verified": ok,
-                "detail": detail,
-                "witness": list(indices),
-            }
+    if args.target in ("semi-points", "semi-blocks"):
+        role = args.target
+        base = d if role == "semi-points" else designs.dual(d)
+        trials = None
+        if args.method == "exact":
+            indices = resolve.min_semi_resolving(base, budget=args.budget, limit=args.limit)
+        elif args.method == "greedy":
+            indices = resolve.greedy_semi_resolving(base)
         else:
-            print(f"unknown target {args.target}", file=sys.stderr)
-            return EXIT_USAGE
-    except (resolve.RetriesExhausted, resolve.BudgetExceeded, ValueError) as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_FAIL
+            size = args.s if args.s is not None else resolve.clamped_sample_size(base)
+            sampled = resolve.randomized_semi_resolving(
+                base, s=size, seed=args.seed, max_retries=args.retries
+            )
+            indices, trials = sampled.blocks, sampled.trials
+        extra = {"bound_s": bound, "trials": trials}
+    elif args.target == "split":
+        split = resolve.split_resolving(
+            d,
+            method=args.method,
+            s=args.s,
+            seed=args.seed,
+            max_retries=args.retries,
+            budget=args.budget,
+            limit=args.limit,
+        )
+        role, indices = "split", split.graph_vertices(d.point_count)
+        extra = {
+            "points": list(split.points),
+            "blocks": list(split.blocks),
+            "bound_total": None if bound is None else 2 * bound,
+        }
+    else:  # full-mdim
+        graph = incidence.incidence_graph(d)
+        limit = args.limit if args.method == "exact" else 0
+        result = resolve.metric_dimension(graph, limit=limit, budget=args.budget)
+        role, indices = "full", result.landmarks
+        extra = {"mu_lower": result.lower, "mu_upper": result.upper, "optimal": result.optimal}
+    ok, detail = resolve.verify_witness(d, role, indices)
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:
             fh.write(resolve.witness_to_text(role, indices))
+    body = {
+        "role": role,
+        "size": len(indices),
+        "verified": ok,
+        "detail": detail,
+        "witness": list(indices),
+        **extra,
+    }
     _print_json(_report("resolve", config, body))
-    return EXIT_OK if body["verified"] else EXIT_FAIL
+    return EXIT_OK if ok else EXIT_FAIL
 
 
 # ---------------------------------------------------------------------------
@@ -235,9 +220,6 @@ def _cmd_bounds(args) -> int:
         "mc_trials": args.mc_trials, "seed": args.seed,
     }
     if args.sweep:
-        if args.sweep != "pg":
-            print(f"unknown sweep family {args.sweep}", file=sys.stderr)
-            return EXIT_USAGE
         rows = bounds_mod.projective_plane_sweep(
             args.qmax, mc_trials=args.mc_trials, seed=args.seed
         )
@@ -252,20 +234,19 @@ def _cmd_bounds(args) -> int:
             writer.writerow(row)
         sys.stdout.write(buf.getvalue())
         return EXIT_OK
+    if args.design:
+        d = _load_design(args.design)
+        designs.require_valid(d)
+    elif args.v is None or args.m is None or args.s is None:
+        raise UsageError("give --v, --m and --s (or --design)")
     try:
         if args.design:
-            d = _load_design(args.design)
-            rep = designs.validate_design(d)
-            if not rep.ok:
-                print(f"design does not validate: {rep.violations[0]}", file=sys.stderr)
-                return EXIT_FAIL
             v = d.v
             m = 2 * (d.k - d.lam)
             s = args.s
             if s is None:
                 if not args.bound_s:
-                    print("give --s or --bound-s with --design", file=sys.stderr)
-                    return EXIT_USAGE
+                    raise UsageError("give --s or --bound-s with --design")
                 s = resolve.semi_resolving_sample_size(d)
             expected = bounds_mod.design_expected_unresolved(d, s)
             body = {
@@ -282,14 +263,10 @@ def _cmd_bounds(args) -> int:
                 body["E_upper_num"] = upper.numerator
                 body["E_upper_den"] = upper.denominator
         else:
-            if args.v is None or args.m is None or args.s is None:
-                print("give --v, --m and --s (or --design)", file=sys.stderr)
-                return EXIT_USAGE
-            report = bounds_mod.inequality_chain(args.v, args.m, args.s)
-            body = _chain_payload(report)
+            body = _chain_payload(bounds_mod.inequality_chain(args.v, args.m, args.s))
     except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
+        # a sample size or chain the given parameters do not admit
+        raise UsageError(str(exc)) from None
     _print_json(_report("bounds", config, body))
     return EXIT_OK
 
@@ -318,13 +295,11 @@ def _cmd_verify(args) -> int:
         with open(args.witness, "r", encoding="ascii") as fh:
             role, indices = resolve.witness_from_text(fh.read())
     except (OSError, ValueError) as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(str(exc)) from None
     if graph_input:
         # no block structure available: only the distance route applies
         if role != "full":
-            print(f"graph files support only role 'full', not {role!r}", file=sys.stderr)
-            return EXIT_USAGE
+            raise UsageError(f"graph files support only role 'full', not {role!r}")
         if any(not 0 <= u < graph.n for u in indices):
             ok, detail = False, "vertex index out of range"
         else:
@@ -335,10 +310,6 @@ def _cmd_verify(args) -> int:
                 else f"vertices {witness} have equal distance vectors"
             )
     else:
-        rep = designs.validate_design(d)
-        if not rep.ok:
-            print(f"design does not validate: {rep.violations[0]}", file=sys.stderr)
-            return EXIT_FAIL
         ok, detail = resolve.verify_witness(d, role, indices)
     _print_json(
         _report(
@@ -351,13 +322,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    try:
-        d = _load_design(args.design)
-        graph = incidence.incidence_graph(d)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
-    text = incidence.to_edge_text(graph)
+    text = incidence.to_edge_text(incidence.incidence_graph(_load_design(args.design)))
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:
             fh.write(text)
@@ -367,12 +332,7 @@ def _cmd_export(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    try:
-        d = _load_design(args.design)
-        graph = incidence.incidence_graph(d)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
+    graph = incidence.incidence_graph(_load_design(args.design))
     cls = incidence.classify(graph)
     array = incidence.intersection_array(graph)
     body = {
@@ -461,9 +421,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = _build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except (UsageError, OSError) as exc:
+        print(str(exc), file=sys.stderr)
+        return EXIT_USAGE
+    except (ValueError, resolve.RetriesExhausted, resolve.BudgetExceeded) as exc:
+        print(str(exc), file=sys.stderr)
+        return EXIT_FAIL
 
 
 if __name__ == "__main__":

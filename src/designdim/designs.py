@@ -16,6 +16,12 @@ and are cheap at the scales this package targets (v up to a few thousand).
 
 All objects are immutable after construction and safe to share across
 threads.  Points and blocks are dense 0-based integer indices.
+
+Each design object is validated once and keeps its derived values on the
+instance: require_valid() stores the validation verdict on first use, and
+dual() and incidence.incidence_graph() their results.  Concurrent first
+use may compute a value twice, which is harmless: the values are equal
+and immutable.  The validators themselves stay uncached.
 """
 
 from __future__ import annotations
@@ -89,6 +95,28 @@ class HadamardMatrix:
 class ValidationReport:
     ok: bool
     violations: tuple[str, ...]
+
+
+# ---------------------------------------------------------------------------
+# derived values kept on the design object
+# ---------------------------------------------------------------------------
+
+def _derived(d: Design, name: str, compute):
+    """compute(d), computed on first use and kept in d's instance __dict__
+    (designs are frozen dataclasses; the memo takes no part in equality,
+    hashing or repr)."""
+    memo = d.__dict__.setdefault("_derived", {})
+    if name not in memo:
+        memo[name] = compute(d)
+    return memo[name]
+
+
+def require_valid(d: Design) -> None:
+    """Raise ValueError naming the first violated axiom unless d validates.
+    The verdict is computed once per design object."""
+    report = _derived(d, "validation", validate_design)
+    if not report.ok:
+        raise ValueError(f"design does not validate: {report.violations[0]}")
 
 
 # ---------------------------------------------------------------------------
@@ -399,6 +427,10 @@ def validate_std(d: TransversalDesign) -> ValidationReport:
         violations.append(f"k = {k} != lambda*g = {lam * g}")
     if len(d.blocks) != lam * g * g:
         violations.append(f"block count {len(d.blocks)} != lambda*g^2 = {lam * g * g}")
+    if violations:
+        # past these checks v = lambda*g^2 is the number of block lines, so
+        # the header alone never sizes an allocation
+        return ValidationReport(ok=False, violations=tuple(violations))
     class_of = [-1] * v
     sizes_ok = True
     for ci, cls in enumerate(d.classes):
@@ -487,10 +519,13 @@ def validate_design(d: Design) -> ValidationReport:
 def dual(d: Design) -> Design:
     """Swap the roles of points and blocks.  For a symmetric design the
     parameters are unchanged; for a symmetric transversal design the dual's
-    point classes are the parallel classes of the input."""
-    rep = validate_design(d)
-    if not rep.ok:
-        raise ValueError(f"design does not validate: {rep.violations[0]}")
+    point classes are the parallel classes of the input.  Computed once per
+    design object; every call returns the same dual."""
+    require_valid(d)
+    return _derived(d, "dual", _build_dual)
+
+
+def _build_dual(d: Design) -> Design:
     pencils = pencil_masks(d)
     n_blocks = len(d.blocks)
     new_blocks = tuple(

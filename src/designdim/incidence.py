@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .designs import Design, validate_design
+from .designs import Design, _derived, require_valid
 
 _UNSEEN = 0xFF
 
@@ -55,7 +55,7 @@ class IncidenceGraph:
                     raise ValueError(f"bad neighbor {w} of vertex {u}")
                 if u not in self.adj[w]:
                     raise ValueError(f"edge ({u}, {w}) is not symmetric")
-        self.dist = tuple(_bfs(self.adj, u, self.n) for u in range(self.n))
+        self.dist = tuple(bytes(_bfs(self.adj, u, self.n)) for u in range(self.n))
         if any(_UNSEEN in row for row in self.dist):
             raise ValueError("graph is not connected")
         self.diameter = max(max(row) for row in self.dist)
@@ -73,10 +73,15 @@ class IncidenceGraph:
 
 
 def incidence_graph(d: Design) -> IncidenceGraph:
-    """Build the incidence graph of a validated design."""
-    rep = validate_design(d)
-    if not rep.ok:
-        raise ValueError(f"design does not validate: {rep.violations[0]}")
+    """The incidence graph of a valid design: points 0..v-1, blocks
+    v..2v-1.  Raises ValueError when d does not validate or its graph is
+    not connected.  Built once per design object; every later call returns
+    the same graph, whose distance rows are immutable bytes."""
+    require_valid(d)
+    return _derived(d, "incidence_graph", _build_incidence_graph)
+
+
+def _build_incidence_graph(d: Design) -> IncidenceGraph:
     v = d.point_count
     adj = [[] for _ in range(2 * v)]
     for j, blk in enumerate(d.blocks):

@@ -26,13 +26,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 
-from .designs import (
-    Design,
-    SymmetricDesign,
-    dual,
-    pencil_masks,
-    validate_design,
-)
+from .designs import Design, SymmetricDesign, dual, pencil_masks, require_valid
 from .incidence import IncidenceGraph, incidence_graph
 
 DEFAULT_EXACT_LIMIT = 40
@@ -80,21 +74,9 @@ def pair_at(p: int) -> tuple[int, int]:
 # pencils and the symmetric-difference characterization
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PencilTable:
-    """For each point, the bitset of indices of blocks containing it."""
-
-    block_count: int
-    masks: tuple[int, ...]
-
-
-def pencil_table(d: Design) -> PencilTable:
-    return PencilTable(block_count=len(d.blocks), masks=tuple(pencil_masks(d)))
-
-
-def separator_masks(table: PencilTable) -> list[int]:
-    """Pencil symmetric differences B(x) ^ B(y), indexed by pair_index."""
-    masks = table.masks
+def separator_masks(masks) -> list[int]:
+    """Pencil symmetric differences B(x) ^ B(y) of the given pencil masks,
+    indexed by pair_index."""
     out = []
     for y in range(len(masks)):
         my = masks[y]
@@ -190,6 +172,12 @@ def side_resolving_witness(g, landmarks, side_vertices) -> tuple[int, int] | Non
 _EXCLUDED_NET_PARAMETERS = {(1, 2), (1, 3), (2, 2)}
 
 
+def _sample_bound(v: int, k: int, lam: int) -> int:
+    """ceil(v*ln(v)/(k-lambda)), natural logarithm: the one formula behind
+    every reported sample size."""
+    return math.ceil(v * math.log(v) / (k - lam))
+
+
 def semi_resolving_sample_size(d: Design) -> int:
     """ceil(v*ln(v)/(k-lambda)): a uniform random block sample of this size
     leaves fewer than one unresolved pair in expectation, so a semi-resolving
@@ -199,6 +187,8 @@ def semi_resolving_sample_size(d: Design) -> int:
         if q < 2:
             raise ValueError(f"order k - lambda = {q} must be at least 2")
     else:
+        if d.k != d.lam * d.g:
+            raise ValueError(f"k = {d.k} != lambda*g = {d.lam * d.g}")
         if d.lam < 1:
             raise ValueError(f"lambda = {d.lam} must be at least 1")
         if d.g < 2:
@@ -208,9 +198,8 @@ def semi_resolving_sample_size(d: Design) -> int:
                 f"(lambda, g) = ({d.lam}, {d.g}) is excluded: the sample size "
                 "would exceed the block count"
             )
-    v = d.v
-    s = math.ceil(v * math.log(v) / (d.k - d.lam))
-    assert s <= v
+    s = _sample_bound(d.v, d.k, d.lam)
+    assert s <= d.v
     return s
 
 
@@ -219,8 +208,7 @@ def clamped_sample_size(d: Design) -> int:
     capped at the block count, defined for every design with k > lambda."""
     if d.k <= d.lam:
         raise ValueError(f"k - lambda = {d.k - d.lam} must be positive")
-    v = d.v
-    return min(math.ceil(v * math.log(v) / (d.k - d.lam)), v)
+    return min(_sample_bound(d.v, d.k, d.lam), d.v)
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +259,7 @@ def randomized_semi_resolving(
 ) -> SampledSemiResolvingSet:
     """Repeatedly draw a uniform s-subset of blocks until one semi-resolves
     the points.  Trial t uses the stream derived from (seed, t)."""
+    require_valid(d)
     v = d.v
     if s is None:
         s = semi_resolving_sample_size(d)
@@ -291,12 +280,6 @@ def randomized_semi_resolving(
         if best_unresolved is None or unresolved < best_unresolved:
             best_unresolved = unresolved
     raise RetriesExhausted(trials=max_retries, best_unresolved=best_unresolved)
-
-
-def _require_valid(d: Design):
-    rep = validate_design(d)
-    if not rep.ok:
-        raise ValueError(f"design does not validate: {rep.violations[0]}")
 
 
 def _require_separable(masks) -> None:
@@ -335,7 +318,7 @@ def _refinement_greedy(n_items: int, partitions) -> list[int]:
 def greedy_semi_resolving(d: Design) -> tuple[int, ...]:
     """Greedy over blocks: take the block separating the most
     still-unseparated point pairs, lowest index on ties."""
-    _require_valid(d)
+    require_valid(d)
     _require_separable(pencil_masks(d))
     everything = (1 << d.point_count) - 1
     blocks = [(m, everything ^ m) for m in map(_block_set_mask, d.blocks)]
@@ -446,10 +429,10 @@ def min_semi_resolving(
     v = d.v
     if v > limit:
         raise ValueError(f"{v} points exceeds the exact-solver limit {limit}")
-    _require_valid(d)
-    table = pencil_table(d)
-    _require_separable(table.masks)
-    solution, _ = _minimum_hitting_set(separator_masks(table), len(d.blocks), budget)
+    require_valid(d)
+    masks = pencil_masks(d)
+    _require_separable(masks)
+    solution, _ = _minimum_hitting_set(separator_masks(masks), len(d.blocks), budget)
     assert is_semi_resolving(d, solution)
     return solution
 
@@ -582,10 +565,15 @@ def split_resolving(
 
     For method="random" with s unspecified, each side samples
     min(ceil(v*ln(v)/(k-lambda)), v) blocks; the point side's stream uses
-    seed + 1.
+    seed + 1.  Designs with fewer than 2 points are rejected: both sides
+    would be empty, and the empty set does not resolve K2.
     """
     if method not in ("random", "greedy", "exact"):
         raise ValueError(f"unknown method {method!r}")
+    if d.point_count < 2:
+        raise ValueError(
+            f"a split resolving set needs at least 2 points, got {d.point_count}"
+        )
     d_dual = dual(d)  # validates d
     _require_separable(pencil_masks(d))
     _require_separable(pencil_masks(d_dual))
@@ -604,7 +592,7 @@ def split_resolving(
             d_dual, s=size, seed=seed + 1, max_retries=max_retries
         ).blocks
     result = SplitResolvingSet(points=s_points, blocks=s_blocks)
-    graph = incidence_graph(d)
+    graph = incidence_graph(d)  # built once per design; verify_witness reuses it
     witness = resolving_witness(graph, result.graph_vertices(d.point_count))
     if witness is not None:
         raise AssertionError(
@@ -653,8 +641,9 @@ def witness_from_text(text: str) -> tuple[str, tuple[int, ...]]:
 
 def verify_witness(d: Design, role: str, indices) -> tuple[bool, str]:
     """Recheck a witness by both the symmetric-difference route and the
-    distance route where applicable.  Returns (ok, detail)."""
-    graph = incidence_graph(d)
+    distance route where applicable.  Returns (ok, detail).  Both routes
+    use d's one dual and one incidence graph."""
+    graph = incidence_graph(d)  # validates d
     v = d.point_count
 
     def check_semi(design, blocks, landmark_vertices, side_vertices):

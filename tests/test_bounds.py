@@ -250,3 +250,10 @@ def test_projective_sweep_rows():
         assert row["chain_ok"] in ("true", "skipped")
         if row["chain_ok"] != "skipped":
             assert row["s"] <= row["v"] - 2 * q
+
+
+def test_sweep_sample_size_is_the_one_resolve_reports(corpus):
+    rows = {row["v"]: row for row in dd.bounds.projective_plane_sweep(9)}
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        d = corpus[f"pg{q}"]
+        assert rows[d.v]["s"] == dd.semi_resolving_sample_size(d) == dd.clamped_sample_size(d)

@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import designdim as dd
 from designdim.cli import main
@@ -290,3 +294,126 @@ def test_unknown_command_exits_two(capsys):
     with pytest.raises(SystemExit) as info:
         main(["frobnicate"])
     assert info.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# exit codes: 2 = unparsable input, 1 = parsed input fails validation or the
+# computation fails
+# ---------------------------------------------------------------------------
+
+FANO_OUT_OF_RANGE = "SD 7 3 1\n0 1 2\n0 3 4\n0 5 6\n1 3 5\n1 4 6\n2 3 6\n2 4 9\n"
+FANO_TRUNCATED = "SD 7 3 1\n0 1 2\n0 3 4\n"
+DESIGN_COMMANDS = {
+    "construct": lambda f, tmp: ["construct", "file", f, "-o", str(tmp / "copy.sd")],
+    "resolve": lambda f, tmp: ["resolve", f],
+    "bounds": lambda f, tmp: ["bounds", "--design", f, "--s", "1"],
+    "verify": lambda f, tmp: ["verify", f, str(tmp / "w.rs")],
+    "export": lambda f, tmp: ["export", f],
+    "classify": lambda f, tmp: ["classify", f],
+}
+
+
+@pytest.mark.parametrize(
+    "text, want",
+    [(FANO_OUT_OF_RANGE, 1), (FANO_TRUNCATED, 2)],
+    ids=["out-of-range", "truncated"],
+)
+@pytest.mark.parametrize("command", sorted(DESIGN_COMMANDS))
+def test_design_file_exit_codes(capsys, tmp_path, command, text, want):
+    design = tmp_path / "bad.sd"
+    design.write_text(text)
+    (tmp_path / "w.rs").write_text("RS semi-points\n0\n")
+    code, _, err = _run(capsys, *DESIGN_COMMANDS[command](str(design), tmp_path))
+    assert code == want
+    assert err.count("\n") == 1 and err.strip()
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "pg", "2", "-o"], ["export", "FANO", "-o"], ["resolve", "FANO", "--out"],
+], ids=["construct", "export", "resolve"])
+def test_unwritable_output_exits_two(capsys, tmp_path, argv):
+    fano = _construct(capsys, tmp_path, "pg", 2, "fano.sd")
+    argv = [str(fano) if a == "FANO" else a for a in argv]
+    code, _, err = _run(capsys, *argv, str(tmp_path / "missing" / "out.txt"))
+    assert code == 2
+    assert err.count("\n") == 1 and "No such file or directory" in err
+
+
+@pytest.mark.parametrize("command", ["export", "classify", "verify", "resolve"])
+def test_disconnected_graph_exits_one(capsys, tmp_path, command):
+    design = tmp_path / "matching.sd"
+    design.write_text("SD 3 1 0\n0\n1\n2\n")  # valid; three disjoint edges
+    (tmp_path / "w.rs").write_text("RS semi-points\n0\n")
+    code, out, err = _run(capsys, *DESIGN_COMMANDS[command](str(design), tmp_path))
+    assert code == 1
+    assert out == "" and err.strip() == "graph is not connected"
+
+
+@pytest.mark.parametrize("text", ["SD 1 1 1\n0\n", "STD 1 1 1\n0\n0\n"], ids=["sd", "std"])
+def test_split_on_one_point_design_exits_one(capsys, tmp_path, text):
+    design = tmp_path / "one.txt"
+    design.write_text(text)
+    code, out, err = _run(capsys, "resolve", str(design), "--target", "split",
+                          "--method", "greedy")
+    assert code == 1
+    assert out == "" and "at least 2 points" in err
+
+
+def test_random_resolve_validates_first(capsys, tmp_path):
+    # the header alone claims 20000 points: rejected before any sampling
+    design = tmp_path / "wide.std"
+    design.write_text("STD 20000 1 0\n0\n")
+    code, out, err = _run(capsys, "resolve", str(design), "--method", "random")
+    assert code == 1
+    assert out == "" and err.startswith("design does not validate: k = 1")
+
+
+def _exit_and_stderr(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@st.composite
+def design_texts(draw):
+    """Small SD/STD files: parameters 0..4, body lengths around the header's
+    line count, index lines with negative and out-of-range values."""
+    kind = draw(st.sampled_from(["SD", "STD"]))
+    a, b, c = (draw(st.integers(0, 4)) for _ in range(3))
+    lines, v = (a, a) if kind == "SD" else (b + c * a * a, a * b)
+    lines = max(0, lines + draw(st.sampled_from([0, 0, 0, -1, 1, 3])))
+    index = st.integers(-2, v + 2)
+    body = [draw(st.lists(index, min_size=1, max_size=5)) for _ in range(lines)]
+    return "\n".join([f"{kind} {a} {b} {c}"] + [" ".join(map(str, r)) for r in body]) + "\n"
+
+
+@pytest.fixture(scope="module")
+def scratch_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("cli-property")
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(text=design_texts(), role=st.sampled_from(["semi-points", "semi-blocks", "split", "full"]),
+       indices=st.lists(st.integers(-1, 9), max_size=4))
+@example(text="SD 1 1 1\n0\n", role="split", indices=[0, 1])
+@example(text="SD 2 1 0\n0\n5\n", role="semi-points", indices=[0])
+def test_cli_never_shows_a_traceback(scratch_dir, text, role, indices):
+    """Every command on arbitrary small design files exits 0, 1 or 2 with
+    no exception escaping cli.main."""
+    design, witness = scratch_dir / "d.txt", scratch_dir / "w.rs"
+    design.write_text(text)
+    witness.write_text(f"RS {role}\n" + " ".join(map(str, indices)) + "\n")
+    f = str(design)
+    commands = [
+        ["classify", f], ["export", f], ["verify", f, str(witness)],
+        ["bounds", "--design", f, "--s", "1"], ["bounds", "--design", f, "--bound-s"],
+    ]
+    for method in ("random", "greedy", "exact"):
+        for target in ("semi-points", "semi-blocks", "split"):
+            commands.append(["resolve", f, "--method", method, "--target", target])
+    for argv in commands:
+        code, err = _exit_and_stderr(argv)
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in err, argv

@@ -1,9 +1,11 @@
 import dataclasses
+import tracemalloc
 from math import comb
 
 import pytest
 
 import designdim as dd
+from designdim import designs
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +221,39 @@ def test_dual_rejects_invalid_input(fano):
     broken = dataclasses.replace(fano, blocks=fano.blocks[:6] + ((0, 1, 2),))
     with pytest.raises(ValueError, match="does not validate"):
         dd.dual(broken)
+
+
+def test_dual_is_kept_on_the_design():
+    d, twin = dd.biaffine_plane(3), dd.biaffine_plane(3)
+    assert dd.dual(d) is dd.dual(d)
+    assert dd.dual(twin) == dd.dual(d) and dd.dual(twin) is not dd.dual(d)
+    # the kept values take no part in equality or hashing
+    assert d == twin and hash(d) == hash(twin)
+
+
+def test_require_valid_computes_the_verdict_once(monkeypatch):
+    calls = []
+    validate = designs.validate
+    monkeypatch.setattr(designs, "validate", lambda d: calls.append(d) or validate(d))
+    fano = dd.projective_plane(2)
+    for _ in range(3):
+        dd.require_valid(fano)
+    broken = dataclasses.replace(fano, blocks=fano.blocks[:6] + ((0, 1, 2),))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="^design does not validate: point pair"):
+            dd.require_valid(broken)
+    assert len(calls) == 2
+
+
+def test_std_header_does_not_size_an_allocation():
+    tracemalloc.start()
+    try:
+        report = dd.validate_std(dd.from_text("STD 1000000 1 0\n0\n"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert report.violations == ("k = 1 != lambda*g = 0",)
 
 
 # ---------------------------------------------------------------------------

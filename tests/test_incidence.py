@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 
 import pytest
 
@@ -68,6 +70,36 @@ def test_incidence_graph_rejects_invalid_design(fano):
     broken = dataclasses.replace(fano, blocks=fano.blocks[:6] + ((0, 1, 2),))
     with pytest.raises(ValueError, match="does not validate"):
         dd.incidence_graph(broken)
+
+
+def test_incidence_graph_is_kept_on_the_design():
+    d = dd.projective_plane(2)
+    g = dd.incidence_graph(d)
+    assert dd.incidence_graph(d) is g
+    assert dd.incidence_graph(dd.projective_plane(2)) is not g
+    assert all(type(row) is bytes for row in g.dist)
+
+
+def test_concurrent_first_use_keeps_an_equal_graph():
+    d = dd.projective_plane(3)
+    results = []
+    threads = [
+        threading.Thread(target=lambda: results.append(dd.incidence_graph(d)))
+        for _ in range(6)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    kept = dd.incidence_graph(d)
+    assert len(results) == 6 and any(g is kept for g in results)
+    assert all(g.adj == kept.adj and g.dist == kept.dist for g in results)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import designdim as dd
+from designdim import designs, incidence
+from designdim.designs import pencil_masks
 from designdim.resolve import (
     pair_at,
     pair_index,
@@ -78,8 +80,8 @@ def test_fano_empty_set_fails(fano):
 
 
 def test_fano_single_pencil_agrees_with_distance_oracle(fano):
-    table = dd.pencil_table(fano)
-    pencil0 = [j for j in range(7) if (table.masks[0] >> j) & 1]
+    masks = pencil_masks(fano)
+    pencil0 = [j for j in range(7) if (masks[0] >> j) & 1]
     assert len(pencil0) == 3
     graph = dd.incidence_graph(fano)
     assert dd.is_semi_resolving(fano, pencil0) == _distance_semi_check(graph, 7, pencil0)
@@ -105,7 +107,7 @@ def test_semi_resolving_witness_is_first_in_triangular_order(small_corpus, data)
     d = small_corpus[data.draw(st.sampled_from(sorted(small_corpus)), label="design")]
     blocks = data.draw(st.sets(st.integers(0, len(d.blocks) - 1)), label="blocks")
     smask = sum(1 << b for b in blocks)
-    seps = separator_masks(dd.pencil_table(d))
+    seps = separator_masks(pencil_masks(d))
     expected = next(
         (pair_at(p) for p, sep in enumerate(seps) if not sep & smask), None
     )
@@ -155,6 +157,14 @@ def test_sample_size_rejects_order_one():
         dd.semi_resolving_sample_size(dd.point_complement_design(5))
 
 
+@pytest.mark.parametrize("g, k, lam", [(2, 3, 3), (4, 2, 1)])
+def test_sample_size_rejects_inconsistent_net_parameters(g, k, lam):
+    # k = lambda would divide by zero, k < lambda*g would give s > v
+    net = dd.TransversalDesign(g=g, k=k, lam=lam, classes=(), blocks=())
+    with pytest.raises(ValueError, match="lambda\\*g"):
+        dd.semi_resolving_sample_size(net)
+
+
 def test_sample_size_never_exceeds_block_count(corpus):
     for name, d in corpus.items():
         try:
@@ -201,6 +211,12 @@ def test_randomized_rejects_bad_sample_size(fano):
         dd.randomized_semi_resolving(fano, s=0)
     with pytest.raises(ValueError):
         dd.randomized_semi_resolving(fano, s=8)
+
+
+def test_randomized_rejects_invalid_design(fano):
+    broken = dataclasses.replace(fano, blocks=fano.blocks[:6] + ((0, 1, 9),))
+    with pytest.raises(ValueError, match="does not validate"):
+        dd.randomized_semi_resolving(broken, s=3)
 
 
 def test_randomized_retries_exhausted_reports_diagnostics():
@@ -262,7 +278,7 @@ def _pairwise_greedy(separators, n_elements):
 def test_greedy_matches_pairwise_reference(corpus):
     for name, d in corpus.items():
         for base in (d, dd.dual(d)):
-            seps = separator_masks(dd.pencil_table(base))
+            seps = separator_masks(pencil_masks(base))
             expected = _pairwise_greedy(seps, len(base.blocks))
             assert dd.greedy_semi_resolving(base) == expected, name
 
@@ -466,6 +482,38 @@ def test_complete_bipartite_has_no_split_resolving_set():
         dd.split_resolving(d, method="exact")
 
 
+@pytest.mark.parametrize("d", [
+    dd.SymmetricDesign(v=1, k=1, lam=1, blocks=((0,),)),
+    dd.TransversalDesign(g=1, k=1, lam=1, classes=((0,),), blocks=((0,),)),
+], ids=["sd111", "std111"])
+def test_split_rejects_one_point_designs(d):
+    # valid, but both semi-resolving sides are empty and cannot resolve K2
+    assert dd.validate_design(d).ok
+    for method in ("greedy", "exact", "random"):
+        with pytest.raises(ValueError, match="at least 2 points"):
+            dd.split_resolving(d, method=method)
+
+
+def test_split_then_verify_validates_and_builds_once(monkeypatch):
+    validated, built = [], []
+    validate = designs.validate
+    monkeypatch.setattr(designs, "validate", lambda d: validated.append(d) or validate(d))
+    init = incidence.IncidenceGraph.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(incidence.IncidenceGraph, "__init__", counting_init)
+    d = dd.projective_plane(3)
+    split = dd.split_resolving(d, method="greedy")
+    ok, _ = dd.verify_witness(d, "split", split.graph_vertices(d.point_count))
+    assert ok
+    assert len(validated) == 2
+    assert validated[0] is d and validated[1] is dd.dual(d)
+    assert len(built) == 1
+
+
 def test_split_unknown_method(fano):
     with pytest.raises(ValueError, match="method"):
         dd.split_resolving(fano, method="annealing")
@@ -495,8 +543,7 @@ def test_sampled_success_rate_beats_expectation_bound(corpus):
 def test_pencils_have_replication_size(corpus):
     """|B(x)| equals k for every point of every corpus design."""
     for name, d in corpus.items():
-        table = dd.pencil_table(d)
-        assert all(m.bit_count() == d.k for m in table.masks), name
+        assert all(m.bit_count() == d.k for m in pencil_masks(d)), name
 
 
 # ---------------------------------------------------------------------------
