@@ -1,66 +1,74 @@
-"""Incidence graphs with precomputed all-pairs distances.
+"""Incidence graphs with precomputed distance layers.
 
 The incidence graph of a design puts its points at vertices 0..v-1 and its
-blocks at v..2v-1, joining a point to every block containing it.  Distances
-are computed eagerly by breadth-first search from every vertex and stored
-one byte per entry (diameters here are tiny; the BFS itself is generic).
-Per-source searches are independent; the finished graph is immutable.
+blocks at v..2v-1, joining a point to every block containing it.  A
+frontier-bitset breadth-first search from every vertex u computes its
+distance layers Gamma_i(u), the vertex bitsets of the vertices at distance
+i from u; every distance question below reads them.  The finished graph is
+immutable.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .designs import Design, _derived, require_valid
 
-_UNSEEN = 0xFF
 
-
-def _bfs(adj, src: int, n: int) -> bytearray:
-    dist = bytearray([_UNSEEN]) * n
-    dist[src] = 0
-    queue = deque((src,))
-    while queue:
-        u = queue.popleft()
-        du = dist[u]
-        if du + 1 >= _UNSEEN:
-            raise ValueError("distance overflow: graph diameter exceeds byte storage")
-        for w in adj[u]:
-            if dist[w] == _UNSEEN:
-                dist[w] = du + 1
-                queue.append(w)
-    return dist
+def _bits(mask: int):
+    """The indices of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 class IncidenceGraph:
-    """Undirected connected graph with an all-pairs hop-distance table.
+    """Undirected connected graph with its distance layers.
 
-    part tags each vertex with its side of the bipartition (0 = point side)
-    when the graph is bipartite, else None.  point_count is the size of the
-    point side when the graph came from a design (or an imported bipartition
-    header), else None.
+    nbr[u] is the neighbor bitset of vertex u; layers[u][i] is Gamma_i(u),
+    for i in 0..diameter (0 past the eccentricity of u).  part tags each
+    vertex with its side of the bipartition (0 = point side) when the graph
+    is bipartite, else None.  point_count is the size of the point side when
+    the graph came from a design (or an imported bipartition header), else
+    None.
     """
 
-    __slots__ = ("n", "adj", "dist", "part", "point_count", "diameter")
+    __slots__ = ("n", "adj", "nbr", "layers", "part", "point_count", "diameter")
 
     def __init__(self, adjacency, point_count: int | None = None):
         self.adj = tuple(tuple(sorted(set(ns))) for ns in adjacency)
-        self.n = len(self.adj)
-        if self.n == 0:
+        self.n = n = len(self.adj)
+        if n == 0:
             raise ValueError("empty graph")
         for u, ns in enumerate(self.adj):
             for w in ns:
-                if not 0 <= w < self.n or w == u:
+                if not 0 <= w < n or w == u:
                     raise ValueError(f"bad neighbor {w} of vertex {u}")
                 if u not in self.adj[w]:
                     raise ValueError(f"edge ({u}, {w}) is not symmetric")
-        self.dist = tuple(bytes(_bfs(self.adj, u, self.n)) for u in range(self.n))
-        if any(_UNSEEN in row for row in self.dist):
-            raise ValueError("graph is not connected")
-        self.diameter = max(max(row) for row in self.dist)
-        part = tuple(self.dist[0][u] & 1 for u in range(self.n))
-        bipartite = all(part[u] != part[w] for u in range(self.n) for w in self.adj[u])
+        self.nbr = nbr = tuple(sum(1 << w for w in ns) for ns in self.adj)
+        full = (1 << n) - 1
+        rows = []
+        for u in range(n):
+            seen = frontier = 1 << u
+            row = [frontier]
+            while seen != full:
+                reach = 0
+                for x in _bits(frontier):
+                    reach |= nbr[x]
+                frontier = reach & ~seen
+                if not frontier:
+                    raise ValueError("graph is not connected")
+                seen |= frontier
+                row.append(frontier)
+            rows.append(row)
+        self.diameter = max(len(row) for row in rows) - 1
+        self.layers = tuple(tuple(row) + (0,) * (self.diameter + 1 - len(row)) for row in rows)
+        odd = sum(self.layers[0][1::2])  # the layers are disjoint
+        part = tuple((odd >> u) & 1 for u in range(n))
+        # bipartite iff no layer of vertex 0 contains an edge
+        bipartite = all(not nbr[x] & layer for layer in self.layers[0] for x in _bits(layer))
         self.part = part if bipartite else None
         self.point_count = point_count
 
@@ -76,7 +84,7 @@ def incidence_graph(d: Design) -> IncidenceGraph:
     """The incidence graph of a valid design: points 0..v-1, blocks
     v..2v-1.  Raises ValueError when d does not validate or its graph is
     not connected.  Built once per design object; every later call returns
-    the same graph, whose distance rows are immutable bytes."""
+    the same graph, whose distance layers are tuples of vertex bitsets."""
     require_valid(d)
     return _derived(d, "incidence_graph", _build_incidence_graph)
 
@@ -134,39 +142,39 @@ class NotDistanceRegular:
 
 
 def intersection_array(g: IncidenceGraph) -> IntersectionArray | NotDistanceRegular:
-    """Tally neighbor counts by distance over every ordered vertex pair;
+    """Tally neighbor counts by distance over every ordered vertex pair
+    (u, w): the neighbors of w in the layers i-1 and i of u, and the rest;
     return the intersection array if all counts agree per distance, else the
     first conflicting witness in vertex-index order."""
-    d = g.diameter
-    seen: list[tuple[tuple[int, int], tuple[int, int, int]] | None] = [None] * (d + 1)
-    for u in range(g.n):
-        row = g.dist[u]
-        for w in range(g.n):
-            i = row[w]
-            down = same = up = 0
-            for x in g.adj[w]:
-                dx = row[x]
-                if dx == i - 1:
-                    down += 1
-                elif dx == i:
-                    same += 1
-                else:
-                    up += 1
-            counts = (down, same, up)
-            if seen[i] is None:
-                seen[i] = ((u, w), counts)
-            elif seen[i][1] != counts:
-                return NotDistanceRegular(
-                    distance=i,
-                    first_pair=seen[i][0],
-                    first_counts=seen[i][1],
-                    pair=(u, w),
-                    counts=counts,
-                )
+    seen: list[tuple[tuple[int, int], tuple[int, int, int]] | None] = [None] * (g.diameter + 1)
+    for u, row in enumerate(g.layers):
+        conflicts = []  # the first (w, i, counts) per layer
+        below = 0
+        for i, layer in enumerate(row):
+            for w in _bits(layer):
+                m = g.nbr[w]
+                down = (m & below).bit_count()
+                same = (m & layer).bit_count()
+                counts = (down, same, m.bit_count() - down - same)
+                if seen[i] is None:
+                    seen[i] = ((u, w), counts)
+                elif seen[i][1] != counts:
+                    conflicts.append((w, i, counts))
+                    break
+            below = layer
+        if conflicts:
+            w, i, counts = min(conflicts)
+            return NotDistanceRegular(
+                distance=i,
+                first_pair=seen[i][0],
+                first_counts=seen[i][1],
+                pair=(u, w),
+                counts=counts,
+            )
     return IntersectionArray(
-        c=tuple(seen[i][1][0] for i in range(1, d + 1)),
-        a=tuple(seen[i][1][1] for i in range(d + 1)),
-        b=tuple(seen[i][1][2] for i in range(d)),
+        c=tuple(counts[0] for _, counts in seen[1:]),
+        a=tuple(counts[1] for _, counts in seen),
+        b=tuple(counts[2] for _, counts in seen[:-1]),
     )
 
 
@@ -192,43 +200,35 @@ class GraphClassification:
 
 def classify(g: IncidenceGraph) -> GraphClassification:
     """Bipartiteness by 2-coloring; antipodality iff the vertices at maximal
-    distance from each vertex are pairwise at maximal distance (the
-    distance-d graph is a disjoint union of cliques)."""
+    distance d from each vertex are pairwise at distance d (the distance-d
+    graph is a disjoint union of cliques), that is, iff Gamma_d(u) minus w
+    lies in Gamma_d(w) for every u and every w in Gamma_d(u)."""
     d = g.diameter
-
-    def antipodal() -> bool:
-        for u in range(g.n):
-            far = [w for w in range(g.n) if g.dist[u][w] == d]
-            for i, w1 in enumerate(far):
-                for w2 in far[i + 1 :]:
-                    if g.dist[w1][w2] != d:
-                        return False
-        return True
-
-    return GraphClassification(
-        bipartite=g.part is not None, antipodal=antipodal(), diameter=d
+    antipodal = all(
+        not (row[d] ^ (1 << w)) & ~g.layers[w][d]
+        for row in g.layers
+        for w in _bits(row[d])
     )
+    return GraphClassification(bipartite=g.part is not None, antipodal=antipodal, diameter=d)
 
 
 def girth(g: IncidenceGraph) -> int:
     """Length of a shortest cycle (graphs here are always connected and,
-    beyond trees, contain cycles)."""
+    beyond trees, contain cycles): over all roots, the least 2i+1 for an
+    edge inside layer i or 2i+2 for a vertex with two neighbors in layer i."""
     best = g.n + 1
-    for root in range(g.n):
-        dist = {root: 0}
-        parent = {root: -1}
-        queue = deque((root,))
-        while queue:
-            u = queue.popleft()
-            if 2 * dist[u] >= best:
+    for row in g.layers:
+        for i, (layer, above) in enumerate(zip(row, row[1:] + (0,))):
+            if 2 * i + 1 >= best:
                 break
-            for w in g.adj[u]:
-                if w not in dist:
-                    dist[w] = dist[u] + 1
-                    parent[w] = u
-                    queue.append(w)
-                elif parent[u] != w:
-                    best = min(best, dist[u] + dist[w] + 1)
+            reached = 0
+            for x in _bits(layer):
+                up = g.nbr[x] & above
+                if g.nbr[x] & layer:
+                    best = 2 * i + 1
+                elif up & reached:
+                    best = min(best, 2 * i + 2)
+                reached |= up
     if best > g.n:
         raise ValueError("graph is acyclic")
     return best
@@ -270,7 +270,10 @@ def from_edge_text(text: str) -> IncidenceGraph:
     if not 1 <= n <= m + 1:
         # checked before allocating: a connected graph has at least n - 1 edges
         raise ValueError(f"{n} vertices cannot form a connected graph with {m} edges")
+    if not 0 <= bip <= n:
+        raise ValueError(f"bipartition size {bip} outside 0..{n}")
     adj = [[] for _ in range(n)]
+    seen = set()
     for ln in lines[1:]:
         toks = ln.split()
         if len(toks) != 2:
@@ -281,6 +284,9 @@ def from_edge_text(text: str) -> IncidenceGraph:
             raise ValueError(f"bad edge line: {ln!r}") from None
         if not (0 <= u < n and 0 <= w < n):
             raise ValueError(f"edge endpoint out of range: {ln!r}")
+        if {(u, w), (w, u)} & seen:
+            raise ValueError(f"duplicate edge: {ln!r}")
+        seen.add((u, w))
         adj[u].append(w)
         adj[w].append(u)
     return IncidenceGraph(adj, point_count=bip if bip > 0 else None)

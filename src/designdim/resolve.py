@@ -27,7 +27,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .designs import Design, SymmetricDesign, dual, pencil_masks, require_valid
-from .incidence import IncidenceGraph, incidence_graph
+from .incidence import IncidenceGraph, _bits, incidence_graph
 
 DEFAULT_EXACT_LIMIT = 40
 DEFAULT_NODE_BUDGET = 50_000_000
@@ -153,16 +153,15 @@ def is_resolving(g: IncidenceGraph, vertices) -> bool:
 
 def side_resolving_witness(g, landmarks, side_vertices) -> tuple[int, int] | None:
     """Distance-vector collision among side_vertices only (the distance
-    oracle for semi-resolving checks)."""
-    landmarks = sorted(set(landmarks))
-    seen: dict[tuple[int, ...], int] = {}
-    for u in side_vertices:
-        row = g.dist[u]
-        vec = tuple(row[s] for s in landmarks)
-        if vec in seen:
-            return (seen[vec], u)
-        seen[vec] = u
-    return None
+    oracle for semi-resolving checks): (x, u), u the lowest vertex sharing
+    its vector with a lower one, x the lowest of those.  Refines the side by
+    each landmark's distance layers, dropping classes of one vertex."""
+    side = sum(1 << u for u in set(side_vertices))
+    classes = [side] if side & (side - 1) else []
+    for s in set(landmarks):
+        classes = [p for c in classes for layer in g.layers[s] if (p := c & layer) & (p - 1)]
+    pairs = (tuple(itertools.islice(_bits(c), 2)) for c in classes)
+    return min(pairs, key=lambda pair: pair[1], default=None)
 
 
 # ---------------------------------------------------------------------------
@@ -458,17 +457,12 @@ class MetricDimensionResult:
 def _vertex_separator_sets(g: IncidenceGraph) -> list[int]:
     """For each vertex pair, the bitset of vertices at different distances
     from the two (never empty: each vertex separates itself from the rest)."""
-    sets = []
-    for w in range(g.n):
-        dw = g.dist[w]
-        for u in range(w):
-            du = g.dist[u]
-            m = 0
-            for x in range(g.n):
-                if du[x] != dw[x]:
-                    m |= 1 << x
-            sets.append(m)
-    return sets
+    full = (1 << g.n) - 1
+    return [
+        full ^ sum(a & b for a, b in zip(lu, lw))  # the layers of u are disjoint
+        for w, lw in enumerate(g.layers)
+        for lu in g.layers[:w]
+    ]
 
 
 def metric_dimension(
@@ -481,11 +475,7 @@ def metric_dimension(
     bound (each vertex splits the others by their distance to it) plus the
     counting lower bound ceil(log(n)/log(diameter+1)), flagged non-optimal."""
     if g.n > limit:
-        layers = [[0] * (g.diameter + 1) for _ in range(g.n)]
-        for w, row in enumerate(g.dist):
-            for x, dx in enumerate(row):
-                layers[w][dx] |= 1 << x
-        upper = sorted(_refinement_greedy(g.n, layers))
+        upper = sorted(_refinement_greedy(g.n, g.layers))
         lower = max(1, math.ceil(math.log(g.n) / math.log(g.diameter + 1)))
         return MetricDimensionResult(
             lower=lower, upper=len(upper), landmarks=tuple(upper), optimal=False

@@ -1,3 +1,5 @@
+from collections import deque
+
 import pytest
 
 import designdim as dd
@@ -37,3 +39,36 @@ def small_corpus(corpus):
 @pytest.fixture(scope="session")
 def corpus_graphs(corpus):
     return {name: dd.incidence_graph(d) for name, d in corpus.items()}
+
+
+def _bfs_distances(g):
+    """Reference all-pairs hop distances: a plain deque BFS from every vertex
+    over g.adj, independent of the graph's own distance layers."""
+    rows = []
+    for src in range(g.n):
+        dist = [None] * g.n
+        dist[src] = 0
+        queue = deque((src,))
+        while queue:
+            u = queue.popleft()
+            for w in g.adj[u]:
+                if dist[w] is None:
+                    dist[w] = dist[u] + 1
+                    queue.append(w)
+        rows.append(dist)
+    return rows
+
+
+@pytest.fixture(scope="session")
+def bfs_distances():
+    return _bfs_distances
+
+
+def _layer_distance(g, u, w):
+    return next(i for i, layer in enumerate(g.layers[u]) if layer >> w & 1)
+
+
+@pytest.fixture(scope="session")
+def layer_distance():
+    """The distance from u to w read off the layers of u."""
+    return _layer_distance

@@ -282,6 +282,18 @@ def test_verify_full_witness_against_graph_file(capsys, tmp_path):
     assert "full" in err
 
 
+def test_verify_full_witness_on_a_long_path(capsys, tmp_path):
+    n = 300
+    graph_path = tmp_path / "path.g"
+    graph_path.write_text(f"G {n} {n - 1} 0\n" + "".join(f"{u} {u + 1}\n" for u in range(n - 1)))
+    witness = tmp_path / "end.rs"
+    witness.write_text("RS full\n0\n")
+    code, out, err = _run(capsys, "verify", str(graph_path), str(witness))
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["verified"] is True and report["detail"] == "resolves the graph"
+
+
 def test_classify_hadamard_std(capsys, tmp_path):
     design = _construct(capsys, tmp_path, "hadamard-std", 4, "h4.std")
     code, out, _ = _run(capsys, "classify", str(design))

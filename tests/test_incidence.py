@@ -27,11 +27,11 @@ def test_vertex_layout(fano):
         assert g.adj[7 + j] == blk
 
 
-def test_adjacency_iff_containment(fano):
+def test_adjacency_iff_containment(fano, layer_distance):
     g = dd.incidence_graph(fano)
     for x in range(7):
         for j, blk in enumerate(fano.blocks):
-            d = g.dist[x][7 + j]
+            d = layer_distance(g, x, 7 + j)
             if x in blk:
                 assert d == 1
             else:
@@ -77,7 +77,8 @@ def test_incidence_graph_is_kept_on_the_design():
     g = dd.incidence_graph(d)
     assert dd.incidence_graph(d) is g
     assert dd.incidence_graph(dd.projective_plane(2)) is not g
-    assert all(type(row) is bytes for row in g.dist)
+    assert all(type(row) is tuple for row in g.layers)
+    assert all(type(layer) is int for row in g.layers for layer in row)
 
 
 def test_concurrent_first_use_keeps_an_equal_graph():
@@ -99,7 +100,7 @@ def test_concurrent_first_use_keeps_an_equal_graph():
     assert not any(t.is_alive() for t in threads)
     kept = dd.incidence_graph(d)
     assert len(results) == 6 and any(g is kept for g in results)
-    assert all(g.adj == kept.adj and g.dist == kept.dist for g in results)
+    assert all(g.adj == kept.adj and g.layers == kept.layers for g in results)
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +154,10 @@ def test_not_drg_witness_is_deterministic(fano):
     r1 = dd.intersection_array(dd.IncidenceGraph(adj))
     r2 = dd.intersection_array(dd.IncidenceGraph(adj))
     assert r1 == r2
+    # the first conflict in vertex-index order: pairs (u, w) by u, then w
+    assert r1 == dd.NotDistanceRegular(
+        distance=2, first_pair=(0, 2), first_counts=(1, 1, 1), pair=(0, 6), counts=(1, 0, 2)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -178,18 +183,66 @@ def test_classify_matching_complement():
 
 
 # ---------------------------------------------------------------------------
-# distance matrix sanity
+# distance layer sanity
 # ---------------------------------------------------------------------------
 
-def test_distance_matrix_properties(corpus_graphs):
+def test_distance_matrix_properties(corpus_graphs, layer_distance):
     rng = random.Random(20240817)
     for name, g in corpus_graphs.items():
-        for u in range(g.n):
-            assert g.dist[u][u] == 0
+        full = (1 << g.n) - 1
+        for u, row in enumerate(g.layers):
+            assert len(row) == g.diameter + 1
+            assert row[0] == 1 << u
+            # the layers of u partition the vertices
+            assert sum(layer.bit_count() for layer in row) == g.n
+            union = 0
+            for layer in row:
+                union |= layer
+            assert union == full, name
         for _ in range(200):
             u, w, x = (rng.randrange(g.n) for _ in range(3))
-            assert g.dist[u][w] == g.dist[w][u]
-            assert g.dist[u][w] <= g.dist[u][x] + g.dist[x][w]
+            assert layer_distance(g, u, w) == layer_distance(g, w, u)
+            assert layer_distance(g, u, w) <= layer_distance(g, u, x) + layer_distance(g, x, w)
+
+
+def test_layers_match_reference_bfs(corpus_graphs, bfs_distances):
+    for name, g in corpus_graphs.items():
+        for u, dist in enumerate(bfs_distances(g)):
+            expected = [0] * (g.diameter + 1)
+            for w, i in enumerate(dist):
+                expected[i] |= 1 << w
+            assert g.layers[u] == tuple(expected), (name, u)
+        assert g.diameter == max(max(row) for row in bfs_distances(g)), name
+
+
+def _cycle(n):
+    return dd.IncidenceGraph([((u - 1) % n, (u + 1) % n) for u in range(n)])
+
+
+@pytest.mark.parametrize(
+    "n, bipartite, antipodal, diameter",
+    [(5, False, False, 2), (6, True, True, 3), (7, False, False, 3), (12, True, True, 6)],
+)
+def test_cycles(bfs_distances, n, bipartite, antipodal, diameter):
+    g = _cycle(n)
+    assert dd.girth(g) == n
+    assert dd.classify(g) == dd.GraphClassification(
+        bipartite=bipartite, antipodal=antipodal, diameter=diameter
+    )
+    assert g.layers[0] == tuple(
+        sum(1 << w for w, i in enumerate(bfs_distances(g)[0]) if i == d)
+        for d in range(diameter + 1)
+    )
+
+
+def test_long_path_is_not_limited_by_distance_storage():
+    n = 300
+    g = dd.IncidenceGraph([[w for w in (u - 1, u + 1) if 0 <= w < n] for u in range(n)])
+    assert g.diameter == n - 1
+    assert g.layers[0][n - 1] == 1 << (n - 1)
+    assert g.part == tuple(u & 1 for u in range(n))
+    with pytest.raises(ValueError, match="acyclic"):
+        dd.girth(g)
 
 
 def test_disconnected_graph_rejected():
@@ -216,7 +269,7 @@ def test_edge_text_round_trip(corpus_graphs):
         g2 = dd.from_edge_text(text)
         assert g2.adj == g.adj
         assert g2.point_count == g.point_count
-        assert g2.dist == g.dist
+        assert g2.layers == g.layers
 
 
 def test_edge_text_rejects_garbage():
@@ -228,3 +281,13 @@ def test_edge_text_rejects_garbage():
         dd.from_edge_text("G 2 1 0\n0 7\n")
     with pytest.raises(ValueError, match="connected"):
         dd.from_edge_text("G 100000000 0 0\n")
+    # a bipartition larger than the graph, or negative
+    with pytest.raises(ValueError, match="bipartition"):
+        dd.from_edge_text("G 2 1 5\n0 1\n")
+    with pytest.raises(ValueError, match="bipartition"):
+        dd.from_edge_text("G 2 1 -1\n0 1\n")
+    # a repeated edge, in either orientation
+    with pytest.raises(ValueError, match="duplicate"):
+        dd.from_edge_text("G 2 2 0\n0 1\n0 1\n")
+    with pytest.raises(ValueError, match="duplicate"):
+        dd.from_edge_text("G 3 3 0\n0 1\n1 2\n1 0\n")

@@ -46,14 +46,14 @@ def test_adjacent_pair_resolves_eight_cycle():
     assert dd.is_resolving(g, (0, g.adj[0][0]))
 
 
-def test_antipodal_pair_fails_on_eight_cycle():
+def test_antipodal_pair_fails_on_eight_cycle(layer_distance):
     g = _eight_cycle()
-    opposite = next(w for w in range(g.n) if g.dist[0][w] == 4)
+    opposite = next(w for w in range(g.n) if layer_distance(g, 0, w) == 4)
     witness = dd.resolving_witness(g, (0, opposite))
     assert witness is not None
     u, w = witness
-    assert tuple(g.dist[u][s] for s in (0, opposite)) == tuple(
-        g.dist[w][s] for s in (0, opposite)
+    assert tuple(layer_distance(g, u, s) for s in (0, opposite)) == tuple(
+        layer_distance(g, w, s) for s in (0, opposite)
     )
 
 
@@ -112,6 +112,47 @@ def test_semi_resolving_witness_is_first_in_triangular_order(small_corpus, data)
         (pair_at(p) for p, sep in enumerate(seps) if not sep & smask), None
     )
     assert dd.semi_resolving_witness(d, blocks) == expected
+
+
+def _first_distance_collision(dist, landmarks, side_vertices):
+    seen = {}
+    for u in side_vertices:
+        vec = tuple(dist[u][s] for s in sorted(set(landmarks)))
+        if vec in seen:
+            return (seen[vec], u)
+        seen[vec] = u
+    return None
+
+
+def _with_chords(g, chords):
+    adj = [list(ns) for ns in g.adj]
+    for a, b in chords:
+        if a != b and b not in adj[a]:
+            adj[a].append(b)
+            adj[b].append(a)
+    return dd.IncidenceGraph(adj)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(data=st.data())
+def test_distance_witnesses_match_reference_scan(small_corpus, bfs_distances, data):
+    """The first colliding pair of the distance-vector scan in vertex order,
+    on corpus graphs and on non-bipartite copies with chords added."""
+    d = small_corpus[data.draw(st.sampled_from(sorted(small_corpus)), label="design")]
+    g = dd.incidence_graph(d)
+    vertex = st.integers(0, g.n - 1)
+    chords = data.draw(st.lists(st.tuples(vertex, vertex), max_size=3), label="chords")
+    g = _with_chords(g, chords)
+    dist = bfs_distances(g)
+    landmarks = data.draw(st.lists(vertex, max_size=8), label="landmarks")
+    v = d.point_count
+    assert dd.resolving_witness(g, landmarks) == _first_distance_collision(
+        dist, landmarks, range(g.n)
+    )
+    for side in (range(v), range(v, g.n)):
+        assert side_resolving_witness(g, landmarks, side) == _first_distance_collision(
+            dist, landmarks, side
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -283,11 +324,12 @@ def test_greedy_matches_pairwise_reference(corpus):
             assert dd.greedy_semi_resolving(base) == expected, name
 
 
-def test_metric_dimension_fallback_matches_pairwise_reference(corpus_graphs):
+def test_metric_dimension_fallback_matches_pairwise_reference(corpus_graphs, layer_distance):
     for name in ("pg2", "pg3", "ba3", "hstd4", "hd8"):
         g = corpus_graphs[name]
+        dist = [[layer_distance(g, u, x) for x in range(g.n)] for u in range(g.n)]
         seps = [
-            sum(1 << x for x in range(g.n) if g.dist[u][x] != g.dist[w][x])
+            sum(1 << x for x in range(g.n) if dist[u][x] != dist[w][x])
             for w in range(g.n)
             for u in range(w)
         ]
