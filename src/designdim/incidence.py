@@ -235,14 +235,16 @@ def girth(g: IncidenceGraph) -> int:
 
 
 # ---------------------------------------------------------------------------
-# edge-list text format: header `G n m bipartition_size`, then `u v` lines
+# edge-list text format: header `G n m bipartition_size`, then `u v` lines.
+# A positive bipartition_size b says that every edge joins 0..b-1 to b..n-1;
+# 0 gives no split.
 # ---------------------------------------------------------------------------
 
 def to_edge_text(g: IncidenceGraph) -> str:
     if g.point_count is not None:
         bip = g.point_count
-    elif g.part is not None:
-        bip = sum(1 for p in g.part if p == 0)
+    elif g.part is not None and g.part == tuple(sorted(g.part)):
+        bip = g.part.count(0)  # the point side is exactly 0..bip-1
     else:
         bip = 0
     lines = [f"G {g.n} {g.edge_count} {bip}"]
@@ -286,6 +288,8 @@ def from_edge_text(text: str) -> IncidenceGraph:
             raise ValueError(f"edge endpoint out of range: {ln!r}")
         if {(u, w), (w, u)} & seen:
             raise ValueError(f"duplicate edge: {ln!r}")
+        if bip > 0 and (u < bip) == (w < bip):
+            raise ValueError(f"edge {ln!r} does not cross the bipartition 0..{bip - 1}")
         seen.add((u, w))
         adj[u].append(w)
         adj[w].append(u)

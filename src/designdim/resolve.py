@@ -10,7 +10,9 @@ B(x) & S: the first repeated signature is the witness, and the class sizes
 give the unresolved-pair count.  The one greedy refines these classes by
 the candidate (a block, or a vertex's distance layers) splitting the most
 same-class pairs; exact search is a minimum hitting set over per-pair
-separator sets.
+separator sets, a branch and bound in which each sibling branch excludes
+the elements its earlier siblings took, so every candidate set is searched
+once rather than once per order in which the pivots reach it.
 
 Pair bookkeeping uses the flat triangular index (x, y) -> y*(y-1)//2 + x
 for x < y; reported witnesses are the smallest in that ordering.  All
@@ -336,11 +338,18 @@ def _minimum_hitting_set(sets, n_elements: int, budget: int | None, max_size: in
     Works on two bitmap layers: each input set is a bitmask over elements,
     and the collection of still-uncovered sets is itself one bitmask, so
     choosing an element removes all sets it hits in a single AND.  Branches
-    on the elements of a smallest uncovered set (most-covering element
-    first), prunes with a disjoint-packing lower bound, and starts from the
-    greedy upper bound.  With max_size given, searches only for solutions
-    of at most that size and returns None when a complete search finds no
-    such solution.  Deterministic; returns (solution, nodes visited)."""
+    on the allowed elements of the lowest-index uncovered set (a smallest
+    one; most-covering element first) and starts from the greedy upper
+    bound.  Sibling exclusion: once the branch on element e returns, e is no
+    longer allowed in the branches after it, because every cover holding e
+    was reachable from that branch, which left best_size no larger than the
+    size of any such cover.  Later siblings therefore never revisit a set,
+    and the first optimum found is the one the search without exclusion
+    finds.  The disjoint-packing lower bound counts uncovered sets by their
+    allowed elements and prunes a branch in which an uncovered set has none.
+    With max_size given, searches only for solutions of at most that size
+    and returns None when a complete search finds no such solution.
+    Deterministic; returns (solution, nodes visited)."""
     if budget is not None and budget <= 0:
         raise BudgetExceeded(f"node budget {budget} exhausted before search")
     if any(m == 0 for m in sets):
@@ -372,15 +381,19 @@ def _minimum_hitting_set(sets, n_elements: int, budget: int | None, max_size: in
     nodes = 0
     chosen: list[int] = []
 
-    def packing_exceeds(uncovered: int, slack: int) -> bool:
-        # True once pairwise-disjoint uncovered sets outnumber the slack:
-        # each needs its own element, so the branch cannot beat best_size
+    def packing_exceeds(uncovered: int, allowed: int, slack: int) -> bool:
+        # True once pairwise-disjoint uncovered sets, restricted to the
+        # allowed elements, outnumber the slack (each needs its own element)
+        # or one of them has no allowed element left: either way the branch
+        # cannot beat best_size
         taken = count = 0
         u = uncovered
         while u:
             i = (u & -u).bit_length() - 1
             u &= u - 1
-            m = minimal[i]
+            m = minimal[i] & allowed
+            if not m:
+                return True
             if not m & taken:
                 count += 1
                 if count > slack:
@@ -388,7 +401,7 @@ def _minimum_hitting_set(sets, n_elements: int, budget: int | None, max_size: in
                 taken |= m
         return False
 
-    def dfs(uncovered: int):
+    def dfs(uncovered: int, allowed: int):
         nonlocal best, best_size, nodes
         nodes += 1
         if budget is not None and nodes > budget:
@@ -399,9 +412,9 @@ def _minimum_hitting_set(sets, n_elements: int, budget: int | None, max_size: in
                 best = sorted(chosen)
             return
         slack = best_size - len(chosen) - 1
-        if slack <= 0 or packing_exceeds(uncovered, slack):
+        if slack <= 0 or packing_exceeds(uncovered, allowed, slack):
             return
-        pivot = minimal[(uncovered & -uncovered).bit_length() - 1]
+        pivot = minimal[(uncovered & -uncovered).bit_length() - 1] & allowed
         elems = []
         m = pivot
         while m:
@@ -411,10 +424,11 @@ def _minimum_hitting_set(sets, n_elements: int, budget: int | None, max_size: in
         elems.sort()
         for _, e in elems:
             chosen.append(e)
-            dfs(uncovered & ~covers[e])
+            dfs(uncovered & ~covers[e], allowed)
             chosen.pop()
+            allowed &= ~(1 << e)  # sibling exclusion (see the docstring)
 
-    dfs((1 << len(minimal)) - 1)
+    dfs((1 << len(minimal)) - 1, (1 << n_elements) - 1)
     return (None if best is None else tuple(best)), nodes
 
 
@@ -473,10 +487,13 @@ def metric_dimension(
     """Exact metric dimension as a minimum hitting set over per-pair vertex
     separator sets.  Past the size limit, falls back to the greedy upper
     bound (each vertex splits the others by their distance to it) plus the
-    counting lower bound ceil(log(n)/log(diameter+1)), flagged non-optimal."""
+    counting lower bound, the least k with (diameter+1)^k >= n (k distances
+    take at most diameter+1 values each), flagged non-optimal."""
     if g.n > limit:
         upper = sorted(_refinement_greedy(g.n, g.layers))
-        lower = max(1, math.ceil(math.log(g.n) / math.log(g.diameter + 1)))
+        lower = 0
+        while (g.diameter + 1) ** lower < g.n:
+            lower += 1
         return MetricDimensionResult(
             lower=lower, upper=len(upper), landmarks=tuple(upper), optimal=False
         )

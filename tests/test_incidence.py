@@ -270,6 +270,16 @@ def test_edge_text_round_trip(corpus_graphs):
         assert g2.adj == g.adj
         assert g2.point_count == g.point_count
         assert g2.layers == g.layers
+    # bipartite graphs without a split: the header gives one only when the
+    # even side is 0..b-1 (a path), and 0 otherwise (a 6-cycle in order)
+    path = dd.IncidenceGraph([[2], [2], [0, 1]])
+    cycle = dd.IncidenceGraph([[(u - 1) % 6, (u + 1) % 6] for u in range(6)])
+    for g, header in ((path, "G 3 2 2"), (cycle, "G 6 6 0")):
+        text = dd.to_edge_text(g)
+        assert text.splitlines()[0] == header
+        g2 = dd.from_edge_text(text)
+        assert g2.adj == g.adj
+        assert dd.to_edge_text(g2) == text
 
 
 def test_edge_text_rejects_garbage():
@@ -286,6 +296,14 @@ def test_edge_text_rejects_garbage():
         dd.from_edge_text("G 2 1 5\n0 1\n")
     with pytest.raises(ValueError, match="bipartition"):
         dd.from_edge_text("G 2 1 -1\n0 1\n")
+    # a header split that the edges do not respect: a triangle, an edge
+    # inside the block side, and a split with no block side
+    with pytest.raises(ValueError, match="bipartition"):
+        dd.from_edge_text("G 3 3 1\n0 1\n1 2\n0 2\n")
+    with pytest.raises(ValueError, match="bipartition"):
+        dd.from_edge_text("G 4 3 1\n0 1\n1 2\n0 3\n")
+    with pytest.raises(ValueError, match="bipartition"):
+        dd.from_edge_text("G 2 1 2\n0 1\n")
     # a repeated edge, in either orientation
     with pytest.raises(ValueError, match="duplicate"):
         dd.from_edge_text("G 2 2 0\n0 1\n0 1\n")

@@ -11,6 +11,8 @@ import designdim as dd
 from designdim import designs, incidence
 from designdim.designs import pencil_masks
 from designdim.resolve import (
+    _minimum_hitting_set,
+    _vertex_separator_sets,
     pair_at,
     pair_index,
     separator_masks,
@@ -394,6 +396,102 @@ def test_min_semi_respects_limit(corpus):
 
 
 # ---------------------------------------------------------------------------
+# exact minimum hitting set against the search without sibling exclusion
+# ---------------------------------------------------------------------------
+
+def _reference_minimum_hitting_set(sets, n_elements, max_size=None):
+    """The branch and bound before sibling exclusion: every sibling may take
+    every element, so a landmark set is searched once per pivot order that
+    reaches it.  Same pivots, sibling order, packing bound and greedy start;
+    returns (solution, nodes visited)."""
+    uniq = sorted(set(sets), key=lambda m: (m.bit_count(), m))
+    minimal = []
+    for m in uniq:
+        if not any(kept & m == kept for kept in minimal):
+            minimal.append(m)
+    covers = [0] * n_elements
+    for i, m in enumerate(minimal):
+        for e in range(n_elements):
+            if m >> e & 1:
+                covers[e] |= 1 << i
+    if max_size is None:
+        best, uncovered = [], (1 << len(minimal)) - 1
+        while uncovered:
+            hits = [(c & uncovered).bit_count() for c in covers]
+            best.append(hits.index(max(hits)))
+            uncovered &= ~covers[best[-1]]
+        best.sort()
+        best_size = len(best)
+    else:
+        best, best_size = None, max_size + 1
+    nodes = 0
+    chosen = []
+
+    def packing_exceeds(uncovered, slack):
+        taken = count = 0
+        for i in range(len(minimal)):
+            if uncovered >> i & 1 and not minimal[i] & taken:
+                count += 1
+                if count > slack:
+                    return True
+                taken |= minimal[i]
+        return False
+
+    def dfs(uncovered):
+        nonlocal best, best_size, nodes
+        nodes += 1
+        if not uncovered:
+            if len(chosen) < best_size:
+                best_size = len(chosen)
+                best = sorted(chosen)
+            return
+        slack = best_size - len(chosen) - 1
+        if slack <= 0 or packing_exceeds(uncovered, slack):
+            return
+        pivot = minimal[(uncovered & -uncovered).bit_length() - 1]
+        elems = sorted(
+            (-(covers[e] & uncovered).bit_count(), e)
+            for e in range(n_elements) if pivot >> e & 1
+        )
+        for _, e in elems:
+            chosen.append(e)
+            dfs(uncovered & ~covers[e])
+            chosen.pop()
+
+    dfs((1 << len(minimal)) - 1)
+    return (None if best is None else tuple(best)), nodes
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(data=st.data())
+def test_hitting_set_matches_search_without_exclusion(data):
+    n = data.draw(st.integers(1, 14), label="elements")
+    sets = data.draw(
+        st.lists(st.integers(1, (1 << n) - 1), max_size=25), label="sets"
+    )
+    max_size = data.draw(st.none() | st.integers(0, n), label="max_size")
+    solution, nodes = _minimum_hitting_set(sets, n, None, max_size=max_size)
+    expected, reference_nodes = _reference_minimum_hitting_set(sets, n, max_size)
+    assert solution == expected
+    assert nodes <= reference_nodes
+
+
+@pytest.mark.parametrize(
+    "name, max_size, solution, nodes",
+    [
+        # the search without sibling exclusion: 154 473, 269 917, 65 041 nodes
+        ("pg3", 6, None, 4_585),
+        ("hstd8", 5, None, 9_801),
+        ("ba4", None, (0, 5, 11, 22, 25, 29), 8_998),
+    ],
+)
+def test_hitting_set_node_counts(corpus_graphs, name, max_size, solution, nodes):
+    g = corpus_graphs[name]
+    sets = _vertex_separator_sets(g)
+    assert _minimum_hitting_set(sets, g.n, None, max_size=max_size) == (solution, nodes)
+
+
+# ---------------------------------------------------------------------------
 # exact metric dimension
 # ---------------------------------------------------------------------------
 
@@ -427,12 +525,40 @@ def test_metric_dimension_fallback_above_limit(fano):
         result.mu
 
 
+def test_metric_dimension_one_vertex_both_paths():
+    g = dd.IncidenceGraph([[]])
+    exact = dd.metric_dimension(g)
+    fallback = dd.metric_dimension(g, limit=0)
+    assert exact.optimal and not fallback.optimal
+    for result in (exact, fallback):
+        assert (result.lower, result.upper, result.landmarks) == (0, 0, ())
+
+
+def test_metric_dimension_fallback_counting_bound_is_exact():
+    """216 = 6^3 vertices at diameter 5: three distances take 216 values,
+    so the counting bound is 3 (the float ratio log 216 / log 6 exceeds 3)."""
+    adj = [[1], [0, 2], [1, 3], [2, 4], [3, 5], [4]]  # a path of diameter 5
+    adj[2] += range(6, 216)  # with 210 leaves on its third vertex
+    g = dd.IncidenceGraph(adj + [[2]] * 210)
+    assert (g.n, g.diameter) == (216, 5)
+    assert dd.metric_dimension(g, limit=0).lower == 3
+
+
 def test_metric_dimension_landmarks_verified(corpus_graphs):
     for name in ("pg2", "ba2", "ba3", "hstd4"):
         g = corpus_graphs[name]
         result = dd.metric_dimension(g)
         assert result.optimal
         assert dd.is_resolving(g, result.landmarks), name
+
+
+def test_metric_dimension_projective_plane_order_four(corpus_graphs):
+    """mu(PG(2,4)) = 10, below 4q - 4 = 12 (Heger and Takats prove
+    mu = 4q - 4 for q >= 23)."""
+    g = corpus_graphs["pg4"]
+    result = dd.metric_dimension(g, limit=42)
+    assert result.optimal and result.mu == 10
+    assert dd.is_resolving(g, result.landmarks)
 
 
 def test_find_resolving_set_caps():
