@@ -31,11 +31,9 @@ from .incidence import (
     IncidenceGraph,
     IntersectionArray,
     NotDistanceRegular,
-    blocks_from_graph,
     classify,
     design_intersection_array,
     from_edge_text,
-    girth,
     incidence_graph,
     intersection_array,
     net_intersection_array,
@@ -53,7 +51,6 @@ from .resolve import (
     is_resolving,
     is_semi_resolving,
     metric_dimension,
-    metric_dimension_bruteforce,
     min_semi_resolving,
     randomized_semi_resolving,
     resolving_witness,

@@ -1,15 +1,15 @@
 """Command-line frontend.
 
 Commands: construct, resolve, bounds, verify, export, classify.
-Exit codes: 0 success; 1 when a parsed input fails validation or the
-computation fails (a witness is rejected, a solver gives up, a graph is
-not connected); 2 when the command line or an input file cannot be
-parsed, a named file cannot be read or written, or the options ask for
-something the input does not support.  main() applies this rule in one
-place.  Every exit 1 or 2 prints one line on stderr, except a rejected
-witness, which `resolve` and `verify` report in their JSON.  Randomized
-commands always run from an explicit seed (default 0) and identical
-configurations produce byte-identical reports.
+Exit codes: 0 success; 1 when a parsed input fails validation (degenerate
+parameters included) or the computation fails (a witness is rejected, a
+solver gives up, a graph is not connected); 2 when the command line or an
+input file cannot be parsed, a named file cannot be read or written, or
+the options ask for something the input does not support.  main()
+applies this rule in one place.  Every exit 1 or 2 prints one line on
+stderr, except a rejected witness, which `resolve` and `verify` report in
+their JSON.  Randomized commands always run from an explicit seed
+(default 0) and identical configurations produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -98,7 +98,7 @@ def _cmd_construct(args) -> int:
         )
     )
     if not report.ok:
-        print(report.violations[0], file=sys.stderr)
+        print(f"design does not validate: {report.violations[0]}", file=sys.stderr)
     return EXIT_OK if report.ok else EXIT_FAIL
 
 
@@ -132,18 +132,15 @@ def _cmd_resolve(args) -> int:
     bound = _resolve_bound(d)
     if args.target in ("semi-points", "semi-blocks"):
         role = args.target
-        base = d if role == "semi-points" else designs.dual(d)
-        trials = None
-        if args.method == "exact":
-            indices = resolve.min_semi_resolving(base, budget=args.budget, limit=args.limit)
-        elif args.method == "greedy":
-            indices = resolve.greedy_semi_resolving(base)
-        else:
-            size = args.s if args.s is not None else resolve.clamped_sample_size(base)
-            sampled = resolve.randomized_semi_resolving(
-                base, s=size, seed=args.seed, max_retries=args.retries
-            )
-            indices, trials = sampled.blocks, sampled.trials
+        indices, trials = resolve.semi_resolving_set(
+            d if role == "semi-points" else designs.dual(d),
+            args.method,
+            s=args.s,
+            seed=args.seed,
+            max_retries=args.retries,
+            budget=args.budget,
+            limit=args.limit,
+        )
         extra = {"bound_s": bound, "trials": trials}
     elif args.target == "split":
         split = resolve.split_resolving(

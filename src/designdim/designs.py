@@ -13,6 +13,9 @@ Sylvester/Paley Hadamard matrices, biaffine planes from AG(2, q), the
 Hadamard-matrix symmetric net).  Correctness never rests on a construction:
 validate() / validate_std() recheck every axiom by exhaustive pair counting
 and are cheap at the scales this package targets (v up to a few thousand).
+They are the one place that knows what a legal design is: a symmetric
+design needs v >= 2 points and a positive order k - lambda, a net g >= 2
+and lambda >= 1, so every valid design has pairwise distinct pencils.
 
 All objects are immutable after construction and safe to share across
 threads.  Points and blocks are dense 0-based integer indices.
@@ -338,12 +341,32 @@ def hadamard_std(H: HadamardMatrix) -> TransversalDesign:
 # validation
 # ---------------------------------------------------------------------------
 
+def _pair_count_violation(masks, lam: int, class_of=None):
+    """The first pair x < y, y-major, whose masks share other than the
+    expected number of bits (lam, or 0 for two members of one class of
+    class_of), as (x, y, got, expected); None when every pair agrees."""
+    for y, my in enumerate(masks):
+        for x in range(y):
+            got = (masks[x] & my).bit_count()
+            # got == lam is right except for two members of one class
+            if got != lam or class_of is not None and got and class_of[x] == class_of[y]:
+                want = lam if class_of is None or class_of[x] != class_of[y] else 0
+                if got != want:
+                    return x, y, got, want
+    return None
+
+
 def validate(d: SymmetricDesign) -> ValidationReport:
-    """Exhaustively check every symmetric-design axiom, including the order
-    bounds 4q-1 <= v <= q^2+q+1 when q >= 2.  Violations are reported (one
-    witness per axiom), never raised."""
+    """Exhaustively check every symmetric-design axiom, the parameters
+    v >= 2 and k - lambda >= 1, and the order bounds 4q-1 <= v <= q^2+q+1
+    when q >= 2.  Violations are reported (one witness per axiom), never
+    raised."""
     violations = []
     v, k, lam = d.v, d.k, d.lam
+    if v < 2:
+        violations.append(f"v = {v} must be at least 2")
+    if k - lam < 1:
+        violations.append(f"order k - lambda = {k - lam} must be positive")
     if len(d.blocks) != v:
         violations.append(f"block count {len(d.blocks)} != v = {v}")
     for j, blk in enumerate(d.blocks):
@@ -355,31 +378,14 @@ def validate(d: SymmetricDesign) -> ValidationReport:
         if m.bit_count() != k or len(blk) != k:
             violations.append(f"block {j} has size {m.bit_count()}, expected k = {k}")
             break
-    pencils = pencil_masks(d)
-    for y in range(v):
-        hit = None
-        for x in range(y):
-            got = (pencils[x] & pencils[y]).bit_count()
-            if got != lam:
-                hit = (x, y, got)
-                break
-        if hit:
-            violations.append(
-                f"point pair ({hit[0]}, {hit[1]}) lies in {hit[2]} blocks, expected lambda = {lam}"
-            )
-            break
-    for j2 in range(len(bmasks)):
-        hit = None
-        for j1 in range(j2):
-            got = (bmasks[j1] & bmasks[j2]).bit_count()
-            if got != lam:
-                hit = (j1, j2, got)
-                break
-        if hit:
-            violations.append(
-                f"block pair ({hit[0]}, {hit[1]}) meets in {hit[2]} points, expected lambda = {lam}"
-            )
-            break
+    if hit := _pair_count_violation(pencil_masks(d), lam):
+        violations.append(
+            f"point pair ({hit[0]}, {hit[1]}) lies in {hit[2]} blocks, expected lambda = {lam}"
+        )
+    if hit := _pair_count_violation(bmasks, lam):
+        violations.append(
+            f"block pair ({hit[0]}, {hit[1]}) meets in {hit[2]} points, expected lambda = {lam}"
+        )
     q = k - lam
     if q >= 2:
         if not 4 * q - 1 <= v:
@@ -418,15 +424,21 @@ def _recover_parallel_classes(d: TransversalDesign):
 
 def validate_std(d: TransversalDesign) -> ValidationReport:
     """Exhaustively check the transversal-design axioms, the symmetry
-    constraints k = lambda*g and |blocks| = lambda*g^2, and that the dual is
-    again a transversal design (blocks resolve into parallel classes and
-    cross-class blocks meet in exactly lambda points)."""
+    constraints k = lambda*g and |blocks| = lambda*g^2, the net parameters
+    g >= 2 and lambda >= 1, and that the dual is again a transversal design
+    (blocks resolve into parallel classes and cross-class blocks meet in
+    exactly lambda points)."""
     violations = []
     g, k, lam, v = d.g, d.k, d.lam, d.v
     if k != lam * g:
         violations.append(f"k = {k} != lambda*g = {lam * g}")
     if len(d.blocks) != lam * g * g:
         violations.append(f"block count {len(d.blocks)} != lambda*g^2 = {lam * g * g}")
+    if not violations:
+        if g < 2:
+            violations.append(f"class size g = {g} must be at least 2")
+        if lam < 1:
+            violations.append(f"lambda = {lam} must be at least 1")
     if violations:
         # past these checks v = lambda*g^2 is the number of block lines, so
         # the header alone never sizes an allocation
@@ -462,18 +474,7 @@ def validate_std(d: TransversalDesign) -> ValidationReport:
             violations.append(f"block {j} contains an out-of-range point")
             break
     if not violations:
-        pencils = pencil_masks(d)
-        hit = None
-        for y in range(v):
-            for x in range(y):
-                got = (pencils[x] & pencils[y]).bit_count()
-                want = 0 if class_of[x] == class_of[y] else lam
-                if got != want:
-                    hit = (x, y, got, want)
-                    break
-            if hit:
-                break
-        if hit:
+        if hit := _pair_count_violation(pencil_masks(d), lam, class_of):
             violations.append(
                 f"point pair ({hit[0]}, {hit[1]}) lies in {hit[2]} blocks, expected {hit[3]}"
             )
@@ -482,22 +483,11 @@ def validate_std(d: TransversalDesign) -> ValidationReport:
         if err is not None:
             violations.append(f"dual is not a transversal design: {err}")
         else:
-            bmasks = block_masks(d)
-            pclass_of = [0] * len(bmasks)
+            pclass_of = [0] * len(d.blocks)
             for ci, cls in enumerate(classes):
                 for j in cls:
                     pclass_of[j] = ci
-            hit = None
-            for j2 in range(len(bmasks)):
-                for j1 in range(j2):
-                    got = (bmasks[j1] & bmasks[j2]).bit_count()
-                    want = 0 if pclass_of[j1] == pclass_of[j2] else lam
-                    if got != want:
-                        hit = (j1, j2, got, want)
-                        break
-                if hit:
-                    break
-            if hit:
+            if hit := _pair_count_violation(block_masks(d), lam, pclass_of):
                 violations.append(
                     f"dual is not a transversal design: blocks ({hit[0]}, {hit[1]}) "
                     f"meet in {hit[2]} points, expected {hit[3]}"

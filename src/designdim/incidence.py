@@ -99,14 +99,6 @@ def _build_incidence_graph(d: Design) -> IncidenceGraph:
     return IncidenceGraph(adj, point_count=v)
 
 
-def blocks_from_graph(g: IncidenceGraph) -> tuple[tuple[int, ...], ...]:
-    """Recover the block family from the block-side neighborhoods."""
-    if g.point_count is None:
-        raise ValueError("graph carries no point/block split")
-    v = g.point_count
-    return tuple(tuple(g.adj[v + j]) for j in range(g.n - v))
-
-
 # ---------------------------------------------------------------------------
 # distance-regularity
 # ---------------------------------------------------------------------------
@@ -210,28 +202,6 @@ def classify(g: IncidenceGraph) -> GraphClassification:
         for w in _bits(row[d])
     )
     return GraphClassification(bipartite=g.part is not None, antipodal=antipodal, diameter=d)
-
-
-def girth(g: IncidenceGraph) -> int:
-    """Length of a shortest cycle (graphs here are always connected and,
-    beyond trees, contain cycles): over all roots, the least 2i+1 for an
-    edge inside layer i or 2i+2 for a vertex with two neighbors in layer i."""
-    best = g.n + 1
-    for row in g.layers:
-        for i, (layer, above) in enumerate(zip(row, row[1:] + (0,))):
-            if 2 * i + 1 >= best:
-                break
-            reached = 0
-            for x in _bits(layer):
-                up = g.nbr[x] & above
-                if g.nbr[x] & layer:
-                    best = 2 * i + 1
-                elif up & reached:
-                    best = min(best, 2 * i + 2)
-                reached |= up
-    if best > g.n:
-        raise ValueError("graph is acyclic")
-    return best
 
 
 # ---------------------------------------------------------------------------

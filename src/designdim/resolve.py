@@ -14,10 +14,10 @@ separator sets, a branch and bound in which each sibling branch excludes
 the elements its earlier siblings took, so every candidate set is searched
 once rather than once per order in which the pivots reach it.
 
-Pair bookkeeping uses the flat triangular index (x, y) -> y*(y-1)//2 + x
-for x < y; reported witnesses are the smallest in that ordering.  All
-randomness comes from 64-bit seeds expanded per trial with a splitmix-style
-mixer, so runs are reproducible and independent of PYTHONHASHSEED.
+Point pairs x < y are taken y-major (by y, then by x); reported witnesses
+are the first pair in that order.  All randomness comes from 64-bit seeds
+expanded per trial with a splitmix-style mixer, so runs are reproducible
+and independent of PYTHONHASHSEED.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 
-from .designs import Design, SymmetricDesign, dual, pencil_masks, require_valid
+from .designs import Design, dual, pencil_masks, require_valid
 from .incidence import IncidenceGraph, _bits, incidence_graph
 
 DEFAULT_EXACT_LIMIT = 40
@@ -54,31 +54,12 @@ class BudgetExceeded(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# pair indexing
-# ---------------------------------------------------------------------------
-
-def pair_index(x: int, y: int) -> int:
-    if not 0 <= x < y:
-        raise ValueError(f"need 0 <= x < y, got ({x}, {y})")
-    return y * (y - 1) // 2 + x
-
-
-def pair_at(p: int) -> tuple[int, int]:
-    y = (1 + math.isqrt(1 + 8 * p)) // 2
-    while y * (y - 1) // 2 > p:
-        y -= 1
-    while (y + 1) * y // 2 <= p:
-        y += 1
-    return p - y * (y - 1) // 2, y
-
-
-# ---------------------------------------------------------------------------
 # pencils and the symmetric-difference characterization
 # ---------------------------------------------------------------------------
 
 def separator_masks(masks) -> list[int]:
     """Pencil symmetric differences B(x) ^ B(y) of the given pencil masks,
-    indexed by pair_index."""
+    one per pair x < y, y-major."""
     out = []
     for y in range(len(masks)):
         my = masks[y]
@@ -95,7 +76,7 @@ def _block_set_mask(blocks) -> int:
 
 
 def _signature_collision(masks, smask: int) -> tuple[int, int] | None:
-    """The first pair x < y in triangular order with masks[x] & smask ==
+    """The first pair x < y, y-major, with masks[x] & smask ==
     masks[y] & smask, or None when the restricted masks are pairwise
     distinct."""
     first: dict[int, int] = {}
@@ -114,7 +95,7 @@ def _unresolved_count(masks, smask: int) -> int:
 
 def semi_resolving_witness(d: Design, blocks) -> tuple[int, int] | None:
     """None if every point pair's pencil symmetric difference meets the given
-    block set, else the first unseparated pair in triangular order.  This is
+    block set, else the first unseparated pair, y-major.  This is
     the bitset route; it never looks at graph distances."""
     return _signature_collision(pencil_masks(d), _block_set_mask(blocks))
 
@@ -170,9 +151,6 @@ def side_resolving_witness(g, landmarks, side_vertices) -> tuple[int, int] | Non
 # sample-size bound
 # ---------------------------------------------------------------------------
 
-_EXCLUDED_NET_PARAMETERS = {(1, 2), (1, 3), (2, 2)}
-
-
 def _sample_bound(v: int, k: int, lam: int) -> int:
     """ceil(v*ln(v)/(k-lambda)), natural logarithm: the one formula behind
     every reported sample size."""
@@ -180,27 +158,15 @@ def _sample_bound(v: int, k: int, lam: int) -> int:
 
 
 def semi_resolving_sample_size(d: Design) -> int:
-    """ceil(v*ln(v)/(k-lambda)): a uniform random block sample of this size
-    leaves fewer than one unresolved pair in expectation, so a semi-resolving
-    set of this size exists.  Natural logarithm throughout."""
-    if isinstance(d, SymmetricDesign):
-        q = d.k - d.lam
-        if q < 2:
-            raise ValueError(f"order k - lambda = {q} must be at least 2")
-    else:
-        if d.k != d.lam * d.g:
-            raise ValueError(f"k = {d.k} != lambda*g = {d.lam * d.g}")
-        if d.lam < 1:
-            raise ValueError(f"lambda = {d.lam} must be at least 1")
-        if d.g < 2:
-            raise ValueError(f"class size g = {d.g} must be at least 2")
-        if (d.lam, d.g) in _EXCLUDED_NET_PARAMETERS:
-            raise ValueError(
-                f"(lambda, g) = ({d.lam}, {d.g}) is excluded: the sample size "
-                "would exceed the block count"
-            )
+    """ceil(v*ln(v)/(k-lambda)) for a valid design: a uniform random block
+    sample of this size leaves fewer than one unresolved pair in
+    expectation, so a semi-resolving set of this size exists.  Natural
+    logarithm throughout.  Raises ValueError when the bound exceeds the
+    block count, which for symmetric designs means order k - lambda = 1."""
+    require_valid(d)
     s = _sample_bound(d.v, d.k, d.lam)
-    assert s <= d.v
+    if s > d.v:
+        raise ValueError(f"sample size {s} exceeds the block count {d.v}")
     return s
 
 
@@ -283,17 +249,6 @@ def randomized_semi_resolving(
     raise RetriesExhausted(trials=max_retries, best_unresolved=best_unresolved)
 
 
-def _require_separable(masks) -> None:
-    pair = _signature_collision(masks, -1)
-    if pair is not None:
-        x, y = pair
-        raise ValueError(
-            f"points {x} and {y} lie in exactly the same blocks; no "
-            "semi-resolving set exists (complete bipartite incidence "
-            "graphs have no split resolving set)"
-        )
-
-
 def _refinement_greedy(n_items: int, partitions) -> list[int]:
     """Greedy separation by partition refinement.  partitions[i] lists the
     parts (disjoint item bitsets covering every item) that candidate i
@@ -310,7 +265,7 @@ def _refinement_greedy(n_items: int, partitions) -> list[int]:
             for parts in partitions
         ]
         best = gains.index(max(gains))
-        assert gains[best] > 0, "callers check that the items are separable"
+        assert gains[best] > 0, "valid designs and graphs always separate their items"
         chosen.append(best)
         classes = [c & p for c in classes for p in partitions[best]]
     return chosen
@@ -320,7 +275,6 @@ def greedy_semi_resolving(d: Design) -> tuple[int, ...]:
     """Greedy over blocks: take the block separating the most
     still-unseparated point pairs, lowest index on ties."""
     require_valid(d)
-    _require_separable(pencil_masks(d))
     everything = (1 << d.point_count) - 1
     blocks = [(m, everything ^ m) for m in map(_block_set_mask, d.blocks)]
     result = tuple(sorted(_refinement_greedy(d.point_count, blocks)))
@@ -443,9 +397,7 @@ def min_semi_resolving(
     if v > limit:
         raise ValueError(f"{v} points exceeds the exact-solver limit {limit}")
     require_valid(d)
-    masks = pencil_masks(d)
-    _require_separable(masks)
-    solution, _ = _minimum_hitting_set(separator_masks(masks), len(d.blocks), budget)
+    solution, _ = _minimum_hitting_set(separator_masks(pencil_masks(d)), len(d.blocks), budget)
     assert is_semi_resolving(d, solution)
     return solution
 
@@ -504,23 +456,6 @@ def metric_dimension(
     )
 
 
-def metric_dimension_bruteforce(
-    g: IncidenceGraph, vertex_order=None
-) -> MetricDimensionResult:
-    """Baseline: increasing-size lexicographic subset enumeration over the
-    given vertex order (identity by default).  The pruned solver must agree
-    with this on every instance it can reach."""
-    order = tuple(vertex_order) if vertex_order is not None else tuple(range(g.n))
-    for size in range(1, g.n + 1):
-        for combo in itertools.combinations(order, size):
-            if is_resolving(g, combo):
-                witness = tuple(sorted(combo))
-                return MetricDimensionResult(
-                    lower=size, upper=size, landmarks=witness, optimal=True
-                )
-    raise AssertionError("the full vertex set always resolves")
-
-
 def find_resolving_set(
     g: IncidenceGraph, max_size: int, budget: int | None = None
 ) -> tuple[int, ...] | None:
@@ -556,6 +491,30 @@ class SplitResolvingSet:
         return tuple(self.points) + tuple(point_count + b for b in self.blocks)
 
 
+def semi_resolving_set(
+    d: Design,
+    method: str,
+    s: int | None = None,
+    seed: int = 0,
+    max_retries: int = 100,
+    budget: int | None = DEFAULT_NODE_BUDGET,
+    limit: int = DEFAULT_EXACT_LIMIT,
+) -> tuple[tuple[int, ...], int | None]:
+    """A semi-resolving block set of d by the named method ("random",
+    "greedy" or "exact") and the random method's trial count (None for the
+    others).  With s unspecified, the random method samples
+    min(ceil(v*ln(v)/(k-lambda)), v) blocks."""
+    if method == "exact":
+        return min_semi_resolving(d, budget=budget, limit=limit), None
+    if method == "greedy":
+        return greedy_semi_resolving(d), None
+    if method != "random":
+        raise ValueError(f"unknown method {method!r}")
+    size = s if s is not None else clamped_sample_size(d)
+    sampled = randomized_semi_resolving(d, s=size, seed=seed, max_retries=max_retries)
+    return sampled.blocks, sampled.trials
+
+
 def split_resolving(
     d: Design,
     method: str = "exact",
@@ -567,37 +526,14 @@ def split_resolving(
 ) -> SplitResolvingSet:
     """Combine a semi-resolving block set for the design with a
     semi-resolving block set of its dual (a point set of the design),
-    using the requested method per side, and verify that the union resolves
-    the incidence graph.
-
-    For method="random" with s unspecified, each side samples
-    min(ceil(v*ln(v)/(k-lambda)), v) blocks; the point side's stream uses
-    seed + 1.  Designs with fewer than 2 points are rejected: both sides
-    would be empty, and the empty set does not resolve K2.
+    using the requested method per side (see semi_resolving_set), and
+    verify that the union resolves the incidence graph.  The point side's
+    random stream uses seed + 1.
     """
-    if method not in ("random", "greedy", "exact"):
-        raise ValueError(f"unknown method {method!r}")
-    if d.point_count < 2:
-        raise ValueError(
-            f"a split resolving set needs at least 2 points, got {d.point_count}"
-        )
     d_dual = dual(d)  # validates d
-    _require_separable(pencil_masks(d))
-    _require_separable(pencil_masks(d_dual))
-    if method == "exact":
-        s_blocks = min_semi_resolving(d, budget=budget, limit=limit)
-        s_points = min_semi_resolving(d_dual, budget=budget, limit=limit)
-    elif method == "greedy":
-        s_blocks = greedy_semi_resolving(d)
-        s_points = greedy_semi_resolving(d_dual)
-    else:
-        size = s if s is not None else clamped_sample_size(d)
-        s_blocks = randomized_semi_resolving(
-            d, s=size, seed=seed, max_retries=max_retries
-        ).blocks
-        s_points = randomized_semi_resolving(
-            d_dual, s=size, seed=seed + 1, max_retries=max_retries
-        ).blocks
+    options = dict(method=method, s=s, max_retries=max_retries, budget=budget, limit=limit)
+    s_blocks, _ = semi_resolving_set(d, seed=seed, **options)
+    s_points, _ = semi_resolving_set(d_dual, seed=seed + 1, **options)
     result = SplitResolvingSet(points=s_points, blocks=s_blocks)
     graph = incidence_graph(d)  # built once per design; verify_witness reuses it
     witness = resolving_witness(graph, result.graph_vertices(d.point_count))

@@ -1,3 +1,4 @@
+import itertools
 from collections import deque
 
 import pytest
@@ -72,3 +73,23 @@ def _layer_distance(g, u, w):
 def layer_distance():
     """The distance from u to w read off the layers of u."""
     return _layer_distance
+
+
+def _metric_dimension_bruteforce(g, vertex_order=None):
+    """Test oracle: increasing-size lexicographic subset enumeration over
+    the given vertex order (identity by default).  The pruned solver must
+    agree with this on every instance it can reach."""
+    order = tuple(vertex_order) if vertex_order is not None else tuple(range(g.n))
+    for size in range(1, g.n + 1):
+        for combo in itertools.combinations(order, size):
+            if dd.is_resolving(g, combo):
+                witness = tuple(sorted(combo))
+                return dd.MetricDimensionResult(
+                    lower=size, upper=size, landmarks=witness, optimal=True
+                )
+    raise AssertionError("the full vertex set always resolves")
+
+
+@pytest.fixture(scope="session")
+def metric_dimension_bruteforce():
+    return _metric_dimension_bruteforce

@@ -198,12 +198,13 @@ def test_bounds_design_with_formula_size(capsys, tmp_path):
     ids=["std111", "sd111", "sd222", "std000"],
 )
 def test_bounds_formula_size_rejects_degenerate_design(capsys, tmp_path, text):
+    # a degenerate design fails validation (exit 1) before any sample size
     design = tmp_path / "degenerate.txt"
     design.write_text(text)
     code, out, err = _run(capsys, "bounds", "--design", str(design), "--bound-s")
-    assert code == 2
+    assert code == 1
     assert out == ""
-    assert err.count("\n") == 1 and err.strip()
+    assert err.count("\n") == 1 and err.startswith("design does not validate: ")
     assert "Traceback" not in err
 
 
@@ -369,7 +370,8 @@ def test_split_on_one_point_design_exits_one(capsys, tmp_path, text):
     code, out, err = _run(capsys, "resolve", str(design), "--target", "split",
                           "--method", "greedy")
     assert code == 1
-    assert out == "" and "at least 2 points" in err
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("design does not validate: ") and "must be at least 2" in err
 
 
 def test_random_resolve_validates_first(capsys, tmp_path):

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import tracemalloc
 from math import comb
 
@@ -254,6 +255,36 @@ def test_std_header_does_not_size_an_allocation():
         tracemalloc.stop()
     assert peak < 1 << 20
     assert report.violations == ("k = 1 != lambda*g = 0",)
+
+
+def _tiny_designs():
+    """Every symmetric design with v <= 4 (every k, every lambda <= k, every
+    tuple of v k-subsets), and every block tuple over the point classes of
+    the nets (g, k, lambda) = (1, 1, 1), (2, 2, 1) and (0, 0, 0)."""
+    for v in range(5):
+        for k in range(v + 1):
+            subsets = list(itertools.combinations(range(v), k))
+            for lam in range(k + 1):
+                for blocks in itertools.product(subsets, repeat=v):
+                    yield dd.SymmetricDesign(v=v, k=k, lam=lam, blocks=blocks)
+    for g, k, lam in ((1, 1, 1), (2, 2, 1), (0, 0, 0)):
+        classes = tuple(tuple(range(i * g, (i + 1) * g)) for i in range(k))
+        subsets = list(itertools.combinations(range(k * g), k))
+        for blocks in itertools.product(subsets, repeat=lam * g * g):
+            yield dd.TransversalDesign(g=g, k=k, lam=lam, classes=classes, blocks=blocks)
+
+
+def test_accepted_designs_have_distinct_pencils():
+    """What the validators accept has v >= 2 points, k > lambda and pairwise
+    distinct pencils, so every valid design has a semi-resolving set and
+    no solver needs its own separability check."""
+    accepted = 0
+    for d in _tiny_designs():
+        if dd.validate_design(d).ok:
+            accepted += 1
+            pencils = designs.pencil_masks(d)
+            assert d.v >= 2 and d.k > d.lam and len(set(pencils)) == d.v, d
+    assert accepted == 86  # 62 symmetric designs and the 24 orderings of ba2
 
 
 # ---------------------------------------------------------------------------

@@ -13,26 +13,9 @@ from designdim.designs import pencil_masks
 from designdim.resolve import (
     _minimum_hitting_set,
     _vertex_separator_sets,
-    pair_at,
-    pair_index,
     separator_masks,
     side_resolving_witness,
 )
-
-
-# ---------------------------------------------------------------------------
-# pair indexing
-# ---------------------------------------------------------------------------
-
-def test_pair_index_round_trip():
-    idx = 0
-    for y in range(1, 30):
-        for x in range(y):
-            assert pair_index(x, y) == idx
-            assert pair_at(idx) == (x, y)
-            idx += 1
-    with pytest.raises(ValueError):
-        pair_index(3, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -110,8 +93,9 @@ def test_semi_resolving_witness_is_first_in_triangular_order(small_corpus, data)
     blocks = data.draw(st.sets(st.integers(0, len(d.blocks) - 1)), label="blocks")
     smask = sum(1 << b for b in blocks)
     seps = separator_masks(pencil_masks(d))
+    pairs = [(x, y) for y in range(d.point_count) for x in range(y)]  # y-major
     expected = next(
-        (pair_at(p) for p, sep in enumerate(seps) if not sep & smask), None
+        (pair for pair, sep in zip(pairs, seps, strict=True) if not sep & smask), None
     )
     assert dd.semi_resolving_witness(d, blocks) == expected
 
@@ -187,16 +171,15 @@ def test_sample_size_pg3(corpus):
 
 
 def test_sample_size_excluded_net_parameters(corpus):
-    with pytest.raises(ValueError, match="excluded"):
-        dd.semi_resolving_sample_size(corpus["ba2"])  # (lambda, g) = (1, 2)
-    with pytest.raises(ValueError, match="excluded"):
-        dd.semi_resolving_sample_size(corpus["ba3"])  # (1, 3)
-    with pytest.raises(ValueError, match="excluded"):
-        dd.semi_resolving_sample_size(corpus["hstd4"])  # (2, 2)
+    # (lambda, g) = (1, 2), (1, 3), (2, 2): the only nets with lambda, g < 200
+    # whose bound exceeds the block count
+    for name, s, v in (("ba2", 6, 4), ("ba3", 10, 9), ("hstd4", 9, 8)):
+        with pytest.raises(ValueError, match=f"sample size {s} exceeds the block count {v}$"):
+            dd.semi_resolving_sample_size(corpus[name])
 
 
 def test_sample_size_rejects_order_one():
-    with pytest.raises(ValueError, match="order"):
+    with pytest.raises(ValueError, match="sample size 9 exceeds the block count 5$"):
         dd.semi_resolving_sample_size(dd.point_complement_design(5))
 
 
@@ -495,19 +478,19 @@ def test_hitting_set_node_counts(corpus_graphs, name, max_size, solution, nodes)
 # exact metric dimension
 # ---------------------------------------------------------------------------
 
-def test_metric_dimension_heawood_cross_checked(fano):
+def test_metric_dimension_heawood_cross_checked(fano, metric_dimension_bruteforce):
     g = dd.incidence_graph(fano)
     solver = dd.metric_dimension(g)
-    lex = dd.metric_dimension_bruteforce(g)
-    reverse = dd.metric_dimension_bruteforce(g, vertex_order=range(g.n - 1, -1, -1))
+    lex = metric_dimension_bruteforce(g)
+    reverse = metric_dimension_bruteforce(g, vertex_order=range(g.n - 1, -1, -1))
     assert solver.mu == lex.mu == reverse.mu
     assert dd.is_resolving(g, solver.landmarks)
 
 
-def test_metric_dimension_eight_cycle():
+def test_metric_dimension_eight_cycle(metric_dimension_bruteforce):
     g = _eight_cycle()
     assert dd.metric_dimension(g).mu == 2
-    assert dd.metric_dimension_bruteforce(g).mu == 2
+    assert metric_dimension_bruteforce(g).mu == 2
 
 
 def test_metric_dimension_three_cube():
@@ -643,22 +626,25 @@ def test_metric_dimension_never_exceeds_split_size(corpus, corpus_graphs):
 
 
 def test_complete_bipartite_has_no_split_resolving_set():
+    # every point lies in every block: order k - lambda = 0, so the design
+    # is rejected before any solver sees its identical pencils
     every_block = tuple((0, 1, 2, 3) for _ in range(4))
     d = dd.SymmetricDesign(v=4, k=4, lam=4, blocks=every_block)
-    assert dd.validate(d).ok
-    with pytest.raises(ValueError, match="complete bipartite"):
+    assert dd.validate(d).violations == ("order k - lambda = 0 must be positive",)
+    with pytest.raises(ValueError, match="^design does not validate: order k - lambda = 0"):
         dd.split_resolving(d, method="exact")
 
 
-@pytest.mark.parametrize("d", [
-    dd.SymmetricDesign(v=1, k=1, lam=1, blocks=((0,),)),
-    dd.TransversalDesign(g=1, k=1, lam=1, classes=((0,),), blocks=((0,),)),
+@pytest.mark.parametrize("d, violation", [
+    (dd.SymmetricDesign(v=1, k=1, lam=1, blocks=((0,),)), "v = 1 must be at least 2"),
+    (dd.TransversalDesign(g=1, k=1, lam=1, classes=((0,),), blocks=((0,),)),
+     "class size g = 1 must be at least 2"),
 ], ids=["sd111", "std111"])
-def test_split_rejects_one_point_designs(d):
-    # valid, but both semi-resolving sides are empty and cannot resolve K2
-    assert dd.validate_design(d).ok
+def test_split_rejects_one_point_designs(d, violation):
+    # one point: both semi-resolving sides would be empty and cannot resolve K2
+    assert dd.validate_design(d).violations[0] == violation
     for method in ("greedy", "exact", "random"):
-        with pytest.raises(ValueError, match="at least 2 points"):
+        with pytest.raises(ValueError, match=f"^design does not validate: {violation}$"):
             dd.split_resolving(d, method=method)
 
 
