@@ -28,10 +28,9 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import comb
 
-from .designs import Design, SymmetricDesign, pencil_masks, projective_plane
+from .designs import Design, SymmetricDesign, _mask, pencil_masks, projective_plane
 from .fields import prime_power
 from .resolve import (
-    _block_set_mask,
     _sample_bound,
     _signature_collision,
     sample_without_replacement,
@@ -118,48 +117,26 @@ def _dec(x: Fraction) -> Decimal:
     return Decimal(x.numerator) / Decimal(x.denominator)
 
 
-def _fmt(x: Decimal) -> str:
-    return format(x, ".12E")
+def _fmt(x: Fraction | Decimal) -> str:
+    return format(_dec(x) if isinstance(x, Fraction) else x, ".12E")
 
 
-def _exact_link(name: str, lhs: Fraction, rhs: Fraction) -> ChainLink:
-    holds = lhs < rhs
-    margin = float((rhs - lhs) / max(lhs, rhs)) if max(lhs, rhs) > 0 else 0.0
-    return ChainLink(
-        name=name,
-        lhs=_fmt(_dec(lhs)),
-        rhs=_fmt(_dec(rhs)),
-        holds=holds,
-        exact=True,
-        margin=margin,
-        marginal=False,
-    )
-
-
-def _decimal_link(name: str, lhs: Decimal, rhs: Decimal) -> ChainLink:
-    holds = lhs < rhs
+def _link(name: str, lhs, rhs, equality: bool = False) -> ChainLink:
+    """The link lhs < rhs (lhs == rhs for an equality), exact between
+    Fractions.  Between Decimals it is a 50-digit approximation, flagged
+    marginal when it holds with a relative margin of at most MARGINAL_SLACK."""
+    exact = isinstance(lhs, Fraction)
+    holds = lhs == rhs if equality else lhs < rhs
     denom = max(abs(lhs), abs(rhs))
-    margin = float((rhs - lhs) / denom) if denom else 0.0
+    margin = float((rhs - lhs) / denom) if denom and not equality else 0.0
     return ChainLink(
         name=name,
         lhs=_fmt(lhs),
         rhs=_fmt(rhs),
         holds=holds,
-        exact=False,
+        exact=exact,
         margin=margin,
-        marginal=holds and margin <= MARGINAL_SLACK,
-    )
-
-
-def _equality_link(name: str, lhs: Fraction, rhs: Fraction) -> ChainLink:
-    return ChainLink(
-        name=name,
-        lhs=_fmt(_dec(lhs)),
-        rhs=_fmt(_dec(rhs)),
-        holds=lhs == rhs,
-        exact=True,
-        margin=0.0,
-        marginal=False,
+        marginal=not exact and holds and margin <= MARGINAL_SLACK,
     )
 
 
@@ -193,15 +170,13 @@ def inequality_chain(v: int, m: int, s: int | None = None) -> ChainReport:
         product = Fraction(prod_num, prod_den)
         ratio = Fraction(comb(v, s), comb(v - m, s))
         links = (
-            _exact_link("C(v,2) < v^2/2", pairs, half_square),
-            _decimal_link("v^2/2 < exp(m/v)^s", _dec(half_square), exp_power),
-            _decimal_link(
-                "exp(m/v)^s < (1+m/v+(m/v)^2)^s", exp_power, _dec(quad_power)
+            _link("C(v,2) < v^2/2", pairs, half_square),
+            _link("v^2/2 < exp(m/v)^s", _dec(half_square), exp_power),
+            _link("exp(m/v)^s < (1+m/v+(m/v)^2)^s", exp_power, _dec(quad_power)),
+            _link("(1+m/v+(m/v)^2)^s < prod(1+m/(v-m-i))", quad_power, product),
+            _link(
+                "prod(1+m/(v-m-i)) == C(v,s)/C(v-m,s)", product, ratio, equality=True
             ),
-            _exact_link(
-                "(1+m/v+(m/v)^2)^s < prod(1+m/(v-m-i))", quad_power, product
-            ),
-            _equality_link("prod(1+m/(v-m-i)) == C(v,s)/C(v-m,s)", product, ratio),
         )
         # 2*ln(v) - ln(2) < m*s/v must agree with the v^2/2-vs-exp link: both
         # state the same inequality, one on the log scale.
@@ -288,7 +263,7 @@ def monte_carlo_success(
     successes = 0
     for trial in range(1, trials + 1):
         chosen = sample_without_replacement(v, s, trial_rng(seed, trial))
-        if _signature_collision(masks, _block_set_mask(chosen)) is None:
+        if _signature_collision(masks, _mask(chosen)) is None:
             successes += 1
     rate = successes / trials
     stderr = math.sqrt(rate * (1.0 - rate) / trials)
@@ -304,37 +279,30 @@ def monte_carlo_success(
     )
 
 
-def exhaustive_success_rate(d: Design, s: int) -> Fraction:
-    """Exact fraction of all s-subsets of blocks that semi-resolve the
-    points, by full enumeration."""
+def _subset_average(d: Design, s: int, score) -> Fraction:
+    """The exact average of score(separators, smask) over every s-subset
+    smask of the blocks, by full enumeration; separators are the pencil
+    symmetric differences of d's point pairs."""
     v = d.v
     if not 0 <= s <= v:
         raise ValueError(f"s = {s} outside 0..{v}")
     separators = separator_masks(pencil_masks(d))
-    good = 0
-    for combo in itertools.combinations(range(v), s):
-        smask = 0
-        for b in combo:
-            smask |= 1 << b
-        if all(sep & smask for sep in separators):
-            good += 1
-    return Fraction(good, comb(v, s))
+    subsets = map(_mask, itertools.combinations(range(v), s))
+    return Fraction(sum(score(separators, smask) for smask in subsets), comb(v, s))
+
+
+def exhaustive_success_rate(d: Design, s: int) -> Fraction:
+    """Exact fraction of all s-subsets of blocks that semi-resolve the
+    points, by full enumeration."""
+    return _subset_average(d, s, lambda seps, smask: all(sep & smask for sep in seps))
 
 
 def exhaustive_expected_unresolved(d: Design, s: int) -> Fraction:
     """Exact average unresolved-pair count over all s-subsets of blocks, by
     full enumeration.  The independent oracle for the closed forms."""
-    v = d.v
-    if not 0 <= s <= v:
-        raise ValueError(f"s = {s} outside 0..{v}")
-    separators = separator_masks(pencil_masks(d))
-    total = 0
-    for combo in itertools.combinations(range(v), s):
-        smask = 0
-        for b in combo:
-            smask |= 1 << b
-        total += sum(1 for sep in separators if not sep & smask)
-    return Fraction(total, comb(v, s))
+    return _subset_average(
+        d, s, lambda seps, smask: sum(1 for sep in seps if not sep & smask)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,10 @@
 Commands: construct, resolve, bounds, verify, export, classify.
 Exit codes: 0 success; 1 when a parsed input fails validation (degenerate
 parameters included) or the computation fails (a witness is rejected, a
-solver gives up, a graph is not connected); 2 when the command line or an
-input file cannot be parsed, a named file cannot be read or written, or
-the options ask for something the input does not support.  main()
+solver gives up); 2 when the command line or an input file cannot be
+parsed (a graph file that is not connected included), a named file cannot
+be read or written, or the options ask for something the input does not
+support.  main()
 applies this rule in one place.  Every exit 1 or 2 prints one line on
 stderr, except a rejected witness, which `resolve` and `verify` report in
 their JSON.  Randomized commands always run from an explicit seed
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import sys
@@ -36,11 +38,13 @@ def _print_json(payload: dict) -> None:
     print(json.dumps(payload, sort_keys=True, indent=2))
 
 
-def _report(command: str, config: dict, body: dict) -> dict:
+def _report(args, body: dict) -> dict:
+    """The JSON report of a command: its parsed options are its config."""
+    config = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
     return {
         "tool": "designdim",
         "version": __version__,
-        "command": command,
+        "command": args.command,
         "config": config,
         **body,
     }
@@ -68,35 +72,30 @@ def _design_summary(d) -> dict:
 # construct
 # ---------------------------------------------------------------------------
 
+# constructor name -> design from the command-line parameter
+_CONSTRUCTORS = {
+    "pg": lambda p: designs.projective_plane(int(p)),
+    "hadamard-design": lambda p: designs.hadamard_design(designs.hadamard_matrix(int(p))),
+    "biaffine": lambda p: designs.biaffine_plane(int(p)),
+    "hadamard-std": lambda p: designs.hadamard_std(designs.hadamard_matrix(int(p))),
+    "file": _load_design,
+}
+
+
 def _cmd_construct(args) -> int:
-    name = args.constructor
     try:
-        if name == "pg":
-            d = designs.projective_plane(int(args.parameter))
-        elif name == "hadamard-design":
-            d = designs.hadamard_design(designs.hadamard_matrix(int(args.parameter)))
-        elif name == "biaffine":
-            d = designs.biaffine_plane(int(args.parameter))
-        elif name == "hadamard-std":
-            d = designs.hadamard_std(designs.hadamard_matrix(int(args.parameter)))
-        else:  # file
-            d = _load_design(args.parameter)
+        d = _CONSTRUCTORS[args.constructor](args.parameter)
     except ValueError as exc:  # ConstructionError included
         raise UsageError(str(exc)) from None
     report = designs.validate_design(d)
     with open(args.out, "w", encoding="ascii") as fh:
         fh.write(designs.to_text(d))
-    _print_json(
-        _report(
-            "construct",
-            {"constructor": name, "parameter": args.parameter, "out": args.out},
-            {
-                "design": _design_summary(d),
-                "valid": report.ok,
-                "violations": list(report.violations),
-            },
-        )
-    )
+    body = {
+        "design": _design_summary(d),
+        "valid": report.ok,
+        "violations": list(report.violations),
+    }
+    _print_json(_report(args, body))
     if not report.ok:
         print(f"design does not validate: {report.violations[0]}", file=sys.stderr)
     return EXIT_OK if report.ok else EXIT_FAIL
@@ -117,41 +116,20 @@ def _cmd_resolve(args) -> int:
     if args.target == "full-mdim" and args.method == "random":
         raise UsageError("full-mdim supports methods exact and greedy only")
     d = _load_design(args.design)
-    config = {
-        "design": args.design,
-        "method": args.method,
-        "target": args.target,
-        "seed": args.seed,
-        "retries": args.retries,
-        "s": args.s,
-        "budget": args.budget,
-        "limit": args.limit,
-        "out": args.out,
-    }
     designs.require_valid(d)
     bound = _resolve_bound(d)
+    solver = dict(
+        method=args.method, s=args.s, seed=args.seed, max_retries=args.retries,
+        budget=args.budget, limit=args.limit,
+    )
     if args.target in ("semi-points", "semi-blocks"):
         role = args.target
         indices, trials = resolve.semi_resolving_set(
-            d if role == "semi-points" else designs.dual(d),
-            args.method,
-            s=args.s,
-            seed=args.seed,
-            max_retries=args.retries,
-            budget=args.budget,
-            limit=args.limit,
+            d if role == "semi-points" else designs.dual(d), **solver
         )
         extra = {"bound_s": bound, "trials": trials}
     elif args.target == "split":
-        split = resolve.split_resolving(
-            d,
-            method=args.method,
-            s=args.s,
-            seed=args.seed,
-            max_retries=args.retries,
-            budget=args.budget,
-            limit=args.limit,
-        )
+        split = resolve.split_resolving(d, **solver)
         role, indices = "split", split.graph_vertices(d.point_count)
         extra = {
             "points": list(split.points),
@@ -176,7 +154,7 @@ def _cmd_resolve(args) -> int:
         "witness": list(indices),
         **extra,
     }
-    _print_json(_report("resolve", config, body))
+    _print_json(_report(args, body))
     return EXIT_OK if ok else EXIT_FAIL
 
 
@@ -195,27 +173,11 @@ def _chain_payload(report) -> dict:
         "E_float": float(report.expected),
         "chain_ok": (None if report.skipped else report.ok),
         "equivalence_holds": report.equivalence_holds,
-        "links": [
-            {
-                "name": link.name,
-                "lhs": link.lhs,
-                "rhs": link.rhs,
-                "holds": link.holds,
-                "exact": link.exact,
-                "margin": link.margin,
-                "marginal": link.marginal,
-            }
-            for link in report.links
-        ],
+        "links": [dataclasses.asdict(link) for link in report.links],
     }
 
 
 def _cmd_bounds(args) -> int:
-    config = {
-        "v": args.v, "m": args.m, "s": args.s, "design": args.design,
-        "bound_s": args.bound_s, "sweep": args.sweep, "qmax": args.qmax,
-        "mc_trials": args.mc_trials, "seed": args.seed,
-    }
     if args.sweep:
         rows = bounds_mod.projective_plane_sweep(
             args.qmax, mc_trials=args.mc_trials, seed=args.seed
@@ -264,7 +226,7 @@ def _cmd_bounds(args) -> int:
     except ValueError as exc:
         # a sample size or chain the given parameters do not admit
         raise UsageError(str(exc)) from None
-    _print_json(_report("bounds", config, body))
+    _print_json(_report(args, body))
     return EXIT_OK
 
 
@@ -272,19 +234,12 @@ def _cmd_bounds(args) -> int:
 # verify / export / classify
 # ---------------------------------------------------------------------------
 
-def _is_graph_text(text: str) -> bool:
-    for line in text.splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            return line.startswith("G ")
-    return False
-
-
 def _cmd_verify(args) -> int:
     try:
         with open(args.design, "r", encoding="ascii") as fh:
             subject_text = fh.read()
-        graph_input = _is_graph_text(subject_text)
+        lines = designs._content_lines(subject_text)
+        graph_input = bool(lines) and lines[0].startswith("G ")
         if graph_input:
             graph = incidence.from_edge_text(subject_text)
         else:
@@ -308,13 +263,8 @@ def _cmd_verify(args) -> int:
             )
     else:
         ok, detail = resolve.verify_witness(d, role, indices)
-    _print_json(
-        _report(
-            "verify",
-            {"design": args.design, "witness": args.witness},
-            {"role": role, "indices": list(indices), "verified": ok, "detail": detail},
-        )
-    )
+    body = {"role": role, "indices": list(indices), "verified": ok, "detail": detail}
+    _print_json(_report(args, body))
     return EXIT_OK if ok else EXIT_FAIL
 
 
@@ -344,7 +294,7 @@ def _cmd_classify(args) -> int:
         }
     else:
         body["intersection_array"] = None
-    _print_json(_report("classify", {"design": args.design}, body))
+    _print_json(_report(args, body))
     return EXIT_OK
 
 
@@ -361,10 +311,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", help="build a design and write it to a file")
-    p.add_argument(
-        "constructor",
-        choices=["pg", "hadamard-design", "biaffine", "hadamard-std", "file"],
-    )
+    p.add_argument("constructor", choices=list(_CONSTRUCTORS))
     p.add_argument("parameter", help="prime power q / matrix order n / input path")
     p.add_argument("-o", "--out", required=True, help="output design file")
     p.set_defaults(func=_cmd_construct)

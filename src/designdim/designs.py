@@ -14,8 +14,9 @@ Hadamard-matrix symmetric net).  Correctness never rests on a construction:
 validate() / validate_std() recheck every axiom by exhaustive pair counting
 and are cheap at the scales this package targets (v up to a few thousand).
 They are the one place that knows what a legal design is: a symmetric
-design needs v >= 2 points and a positive order k - lambda, a net g >= 2
-and lambda >= 1, so every valid design has pairwise distinct pencils.
+design needs v >= 2 points, a positive order k - lambda and lambda >= 1, a
+net g >= 2 and lambda >= 1, so every valid design has pairwise distinct
+pencils and a connected incidence graph.
 
 All objects are immutable after construction and safe to share across
 threads.  Points and blocks are dense 0-based integer indices.
@@ -358,9 +359,10 @@ def _pair_count_violation(masks, lam: int, class_of=None):
 
 def validate(d: SymmetricDesign) -> ValidationReport:
     """Exhaustively check every symmetric-design axiom, the parameters
-    v >= 2 and k - lambda >= 1, and the order bounds 4q-1 <= v <= q^2+q+1
-    when q >= 2.  Violations are reported (one witness per axiom), never
-    raised."""
+    v >= 2 and k - lambda >= 1, the order bounds 4q-1 <= v <= q^2+q+1 when
+    q >= 2, and lambda >= 1 (lambda = 0 leaves only the v disjoint edges of
+    k = 1).  Violations are reported (one witness per axiom), never raised;
+    the lambda check comes last, so it never hides another violation."""
     violations = []
     v, k, lam = d.v, d.k, d.lam
     if v < 2:
@@ -392,6 +394,8 @@ def validate(d: SymmetricDesign) -> ValidationReport:
             violations.append(f"order bound violated: 4q-1 = {4 * q - 1} > v = {v}")
         if not v <= q * q + q + 1:
             violations.append(f"order bound violated: v = {v} > q^2+q+1 = {q * q + q + 1}")
+    if lam < 1:
+        violations.append(f"lambda = {lam} must be at least 1")
     return ValidationReport(ok=not violations, violations=tuple(violations))
 
 
@@ -539,6 +543,13 @@ def _build_dual(d: Design) -> Design:
 # list each class's point indices; then one line per block with ascending
 # space-separated point indices.  `#` starts a comment line; encoding ASCII.
 
+
+def _content_lines(text: str) -> list[str]:
+    """The stripped lines of text, blank and `#` comment lines dropped: the
+    one lexical rule of the design, graph and witness text formats."""
+    return [ln for ln in map(str.strip, text.splitlines()) if ln and not ln.startswith("#")]
+
+
 def to_text(d: Design) -> str:
     lines = []
     if isinstance(d, SymmetricDesign):
@@ -553,8 +564,7 @@ def to_text(d: Design) -> str:
 
 
 def from_text(text: str) -> Design:
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    lines = _content_lines(text)
     if not lines:
         raise ValueError("empty design file")
     head = lines[0].split()

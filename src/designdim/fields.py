@@ -200,15 +200,15 @@ class FiniteField:
         return f"GF({self.p}^{self.e})"
 
 
-def make_field(p: int, e: int, max_size: int = MAX_FIELD_SIZE) -> FiniteField:
+def make_field(p: int, e: int) -> FiniteField:
     """Build GF(p**e) with the lexicographically smallest monic irreducible
     modulus of degree e, found by exhaustive search (deterministic)."""
     if not is_prime(p):
         raise ValueError(f"characteristic {p} is not prime")
     if e < 1:
         raise ValueError(f"extension degree {e} must be >= 1")
-    if p**e > max_size:
-        raise ValueError(f"field size {p}^{e} = {p**e} exceeds maximum {max_size}")
+    if p**e > MAX_FIELD_SIZE:
+        raise ValueError(f"field size {p}^{e} = {p**e} exceeds maximum {MAX_FIELD_SIZE}")
     for cand in _monic_polys(e, p):
         if _is_irreducible(cand, p):
             return FiniteField(p, e, cand)

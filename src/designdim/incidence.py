@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .designs import Design, _derived, require_valid
+from .designs import Design, _content_lines, _derived, require_valid
 
 
 def _bits(mask: int):
@@ -76,15 +76,13 @@ class IncidenceGraph:
     def edge_count(self) -> int:
         return sum(len(ns) for ns in self.adj) // 2
 
-    def degree(self, u: int) -> int:
-        return len(self.adj[u])
-
 
 def incidence_graph(d: Design) -> IncidenceGraph:
     """The incidence graph of a valid design: points 0..v-1, blocks
-    v..2v-1.  Raises ValueError when d does not validate or its graph is
-    not connected.  Built once per design object; every later call returns
-    the same graph, whose distance layers are tuples of vertex bitsets."""
+    v..2v-1.  Raises ValueError when d does not validate; the graph of a
+    valid design is connected, because lambda >= 1.  Built once per design
+    object; every later call returns the same graph, whose distance layers
+    are tuples of vertex bitsets."""
     require_valid(d)
     return _derived(d, "incidence_graph", _build_incidence_graph)
 
@@ -226,8 +224,7 @@ def to_edge_text(g: IncidenceGraph) -> str:
 
 
 def from_edge_text(text: str) -> IncidenceGraph:
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    lines = _content_lines(text)
     if not lines or not lines[0].startswith("G "):
         raise ValueError("missing `G n m bipartition_size` header")
     head = lines[0].split()

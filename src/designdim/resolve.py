@@ -28,7 +28,9 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 
-from .designs import Design, dual, pencil_masks, require_valid
+from .designs import (
+    Design, _content_lines, _mask, block_masks, dual, pencil_masks, require_valid,
+)
 from .incidence import IncidenceGraph, _bits, incidence_graph
 
 DEFAULT_EXACT_LIMIT = 40
@@ -68,13 +70,6 @@ def separator_masks(masks) -> list[int]:
     return out
 
 
-def _block_set_mask(blocks) -> int:
-    m = 0
-    for b in blocks:
-        m |= 1 << b
-    return m
-
-
 def _signature_collision(masks, smask: int) -> tuple[int, int] | None:
     """The first pair x < y, y-major, with masks[x] & smask ==
     masks[y] & smask, or None when the restricted masks are pairwise
@@ -97,7 +92,7 @@ def semi_resolving_witness(d: Design, blocks) -> tuple[int, int] | None:
     """None if every point pair's pencil symmetric difference meets the given
     block set, else the first unseparated pair, y-major.  This is
     the bitset route; it never looks at graph distances."""
-    return _signature_collision(pencil_masks(d), _block_set_mask(blocks))
+    return _signature_collision(pencil_masks(d), _mask(blocks))
 
 
 def is_semi_resolving(d: Design, blocks) -> bool:
@@ -239,7 +234,7 @@ def randomized_semi_resolving(
     for trial in range(1, max_retries + 1):
         rng = trial_rng(seed, trial)
         chosen = sample_without_replacement(v, s, rng)
-        unresolved = _unresolved_count(masks, _block_set_mask(chosen))
+        unresolved = _unresolved_count(masks, _mask(chosen))
         if unresolved == 0:
             return SampledSemiResolvingSet(
                 blocks=tuple(sorted(chosen)), trials=trial, sample_size=s, seed=seed
@@ -276,7 +271,7 @@ def greedy_semi_resolving(d: Design) -> tuple[int, ...]:
     still-unseparated point pairs, lowest index on ties."""
     require_valid(d)
     everything = (1 << d.point_count) - 1
-    blocks = [(m, everything ^ m) for m in map(_block_set_mask, d.blocks)]
+    blocks = [(m, everything ^ m) for m in block_masks(d)]
     result = tuple(sorted(_refinement_greedy(d.point_count, blocks)))
     assert is_semi_resolving(d, result)
     return result
@@ -440,14 +435,15 @@ def metric_dimension(
     separator sets.  Past the size limit, falls back to the greedy upper
     bound (each vertex splits the others by their distance to it) plus the
     counting lower bound, the least k with (diameter+1)^k >= n (k distances
-    take at most diameter+1 values each), flagged non-optimal."""
+    take at most diameter+1 values each), flagged optimal when they meet."""
     if g.n > limit:
-        upper = sorted(_refinement_greedy(g.n, g.layers))
+        landmarks = tuple(sorted(_refinement_greedy(g.n, g.layers)))
         lower = 0
         while (g.diameter + 1) ** lower < g.n:
             lower += 1
         return MetricDimensionResult(
-            lower=lower, upper=len(upper), landmarks=tuple(upper), optimal=False
+            lower=lower, upper=len(landmarks), landmarks=landmarks,
+            optimal=lower == len(landmarks),
         )
     solution, _ = _minimum_hitting_set(_vertex_separator_sets(g), g.n, budget)
     assert is_resolving(g, solution)
@@ -564,8 +560,7 @@ def witness_to_text(role: str, indices) -> str:
 
 
 def witness_from_text(text: str) -> tuple[str, tuple[int, ...]]:
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    lines = _content_lines(text)
     if not lines:
         raise ValueError("empty witness file")
     head = lines[0].split()

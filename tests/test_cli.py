@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -355,12 +358,14 @@ def test_unwritable_output_exits_two(capsys, tmp_path, argv):
 
 @pytest.mark.parametrize("command", ["export", "classify", "verify", "resolve"])
 def test_disconnected_graph_exits_one(capsys, tmp_path, command):
+    # lambda = 0 leaves three disjoint edges: the gate rejects it before any
+    # graph is built, since every valid design has a connected graph
     design = tmp_path / "matching.sd"
-    design.write_text("SD 3 1 0\n0\n1\n2\n")  # valid; three disjoint edges
+    design.write_text("SD 3 1 0\n0\n1\n2\n")
     (tmp_path / "w.rs").write_text("RS semi-points\n0\n")
     code, out, err = _run(capsys, *DESIGN_COMMANDS[command](str(design), tmp_path))
     assert code == 1
-    assert out == "" and err.strip() == "graph is not connected"
+    assert out == "" and err == "design does not validate: lambda = 0 must be at least 1\n"
 
 
 @pytest.mark.parametrize("text", ["SD 1 1 1\n0\n", "STD 1 1 1\n0\n0\n"], ids=["sd", "std"])
@@ -431,3 +436,29 @@ def test_cli_never_shows_a_traceback(scratch_dir, text, role, indices):
         code, err = _exit_and_stderr(argv)
         assert code in (0, 1, 2), argv
         assert "Traceback" not in err, argv
+
+
+# ---------------------------------------------------------------------------
+# runtime dependencies
+# ---------------------------------------------------------------------------
+
+def test_runtime_imports_only_the_standard_library():
+    """Importing the package and its command line loads no module outside
+    the standard library and designdim (checked in a fresh interpreter
+    without site packages, against the modules loaded before the import)."""
+    src = Path(dd.__file__).resolve().parent.parent
+    probe = (
+        "import json, sys\n"
+        f"sys.path.insert(0, {str(src)!r})\n"
+        "before = set(sys.modules)\n"
+        "import designdim, designdim.cli\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", probe], capture_output=True, text=True, check=True
+    ).stdout
+    loaded = json.loads(out)
+    assert "designdim.cli" in loaded
+    foreign = [name for name in loaded
+               if name.partition(".")[0] not in sys.stdlib_module_names | {"designdim"}]
+    assert foreign == []

@@ -275,16 +275,18 @@ def _tiny_designs():
 
 
 def test_accepted_designs_have_distinct_pencils():
-    """What the validators accept has v >= 2 points, k > lambda and pairwise
-    distinct pencils, so every valid design has a semi-resolving set and
-    no solver needs its own separability check."""
+    """What the validators accept has v >= 2 points, k > lambda >= 1 and
+    pairwise distinct pencils, so every valid design has a semi-resolving
+    set and no solver needs its own separability check."""
     accepted = 0
     for d in _tiny_designs():
         if dd.validate_design(d).ok:
             accepted += 1
             pencils = designs.pencil_masks(d)
-            assert d.v >= 2 and d.k > d.lam and len(set(pencils)) == d.v, d
-    assert accepted == 86  # 62 symmetric designs and the 24 orderings of ba2
+            assert d.v >= 2 and d.k > d.lam >= 1 and len(set(pencils)) == d.v, d
+    # 30 symmetric designs and the 24 orderings of ba2; the 32 orderings of
+    # the lambda = 0 designs SD 2 1 0, SD 3 1 0 and SD 4 1 0 are rejected
+    assert accepted == 54
 
 
 # ---------------------------------------------------------------------------
