@@ -93,3 +93,71 @@ def _metric_dimension_bruteforce(g, vertex_order=None):
 @pytest.fixture(scope="session")
 def metric_dimension_bruteforce():
     return _metric_dimension_bruteforce
+
+
+def _reference_valid(d):
+    """Test oracle: whether d is a legal symmetric design or symmetric net,
+    decided from the definitions with Python sets, independent of the
+    validators' bitsets.
+
+    A symmetric design has v >= 2 points, k > lambda >= 1 and v blocks,
+    each a k-subset of the points; every two points lie in lambda common
+    blocks and every two blocks meet in lambda points.  A symmetric net has
+    g >= 2, lambda >= 1, k = lambda*g and lambda*g^2 blocks, each a k-subset
+    of the k*g points; k classes of g points partition the points, every
+    block meets every class in one point, two points of one class lie in no
+    common block and two of different classes in lambda.  Its blocks fall
+    into k parallel classes of g pairwise-disjoint blocks, and two blocks
+    of different parallel classes meet in lambda points."""
+    net = isinstance(d, dd.TransversalDesign)
+    k, lam = d.k, d.lam
+    if net:
+        g = d.g
+        if not (g >= 2 and lam >= 1 and k == lam * g and len(d.blocks) == lam * g * g):
+            return False
+        v = k * g
+    else:
+        v = d.v
+        if not (v >= 2 and k > lam >= 1 and len(d.blocks) == v):
+            return False
+    points = set(range(v))
+
+    def subsets(rows, size):
+        sets = [set(row) for row in rows]
+        ok = all(len(s) == len(row) == size and s <= points for s, row in zip(sets, rows))
+        return sets if ok else None
+
+    blocks = subsets(d.blocks, k)
+    if blocks is None:
+        return False
+    if net:
+        classes = subsets(d.classes, g)
+        if classes is None or len(classes) != k or set().union(*classes) != points:
+            return False
+        if any(len(b & c) != 1 for b in blocks for c in classes):
+            return False
+    pencils = [{j for j, b in enumerate(blocks) if x in b} for x in range(v)]
+    for x, y in itertools.combinations(range(v), 2):
+        same_class = net and any(x in c and y in c for c in classes)
+        if len(pencils[x] & pencils[y]) != (0 if same_class else lam):
+            return False
+    n = len(blocks)
+    if net:
+        parallel = {
+            frozenset(i for i in range(n) if i == j or not blocks[i] & blocks[j])
+            for j in range(n)
+        }
+        if len(parallel) != k or any(len(p) != g for p in parallel):
+            return False
+        if len(set().union(*parallel)) != n:
+            return False
+        part = {i: p for p in parallel for i in p}
+    for i, j in itertools.combinations(range(n), 2):
+        if not (net and part[i] == part[j]) and len(blocks[i] & blocks[j]) != lam:
+            return False
+    return True
+
+
+@pytest.fixture(scope="session")
+def reference_valid():
+    return _reference_valid

@@ -4,6 +4,8 @@ import tracemalloc
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import designdim as dd
 from designdim import designs
@@ -333,3 +335,65 @@ def test_block_count_identity(corpus):
             assert len(d.blocks) == d.lam * d.g * d.g == d.v, name
             assert d.k == d.lam * d.g, name
             assert comb(d.v, 2) > 0
+
+
+# ---------------------------------------------------------------------------
+# the validators against the definitions
+# ---------------------------------------------------------------------------
+
+# corpus designs small enough for the set-based oracle at every example
+ORACLE_DESIGNS = ("pg2", "pg3", "pg4", "hd8", "hd12", "ba2", "ba3", "ba4",
+                  "hstd2", "hstd4", "hstd8")
+
+
+def _mutate(d, kind, draw):
+    """d with one defect of the given kind, drawn by draw(strategy, label)."""
+    blocks = [list(b) for b in d.blocks]
+    classes = [list(c) for c in getattr(d, "classes", ())]
+    rows = classes if kind == "swap-classes" else blocks
+    i = draw(st.integers(0, len(rows) - 1), "row")
+    j = draw(st.integers(0, len(rows) - 1), "other row")
+    outside = sorted(set(range(d.point_count)) - set(rows[i]))
+    if kind == "move" and outside:
+        rows[i][draw(st.integers(0, len(rows[i]) - 1), "at")] = draw(st.sampled_from(outside), "to")
+    elif kind in ("swap-blocks", "swap-classes") and i != j:
+        a = draw(st.integers(0, len(rows[i]) - 1), "at")
+        b = draw(st.integers(0, len(rows[j]) - 1), "other at")
+        rows[i][a], rows[j][b] = rows[j][b], rows[i][a]
+    elif kind == "repeat" and i != j:
+        rows[j] = list(rows[i])
+    elif kind == "grow" and outside:
+        rows[i].append(draw(st.sampled_from(outside), "added"))
+    elif kind == "shrink":
+        del rows[i][draw(st.integers(0, len(rows[i]) - 1), "removed")]
+    mutated = dataclasses.replace(d, blocks=tuple(tuple(sorted(b)) for b in blocks))
+    if classes:
+        mutated = dataclasses.replace(mutated, classes=tuple(tuple(sorted(c)) for c in classes))
+    return mutated
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(data=st.data())
+def test_validators_agree_with_the_definitions(corpus, reference_valid, data):
+    """Corpus designs and nets with one moved point, points swapped between
+    blocks or between point classes, a repeated block, or a grown or shrunk
+    block: the validators accept exactly what the definitions accept."""
+    d = corpus[data.draw(st.sampled_from(ORACLE_DESIGNS), label="design")]
+    kinds = ["none", "move", "swap-blocks", "repeat", "grow", "shrink"]
+    if isinstance(d, dd.TransversalDesign):
+        kinds.append("swap-classes")
+    kind = data.draw(st.sampled_from(kinds), label="mutation")
+    mutated = _mutate(d, kind, lambda strategy, label: data.draw(strategy, label=label))
+    assert dd.validate_design(mutated).ok == reference_valid(mutated)
+
+
+def test_validators_agree_with_the_definitions_on_tiny_designs(reference_valid):
+    """Every design of _tiny_designs, and every block tuple of the (2, 2, 1)
+    net over class tuples that partition the points or fail to."""
+    for d in _tiny_designs():
+        assert dd.validate_design(d).ok == reference_valid(d), d
+    subsets = list(itertools.combinations(range(4), 2))
+    for classes in (((0, 2), (1, 3)), ((0, 3), (1, 2)), ((0, 1), (1, 2)), ((0, 1), (0, 1))):
+        for blocks in itertools.product(subsets, repeat=2):
+            d = dd.TransversalDesign(g=2, k=2, lam=1, classes=classes, blocks=blocks)
+            assert dd.validate_design(d).ok == reference_valid(d), d
