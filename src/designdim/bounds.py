@@ -71,7 +71,7 @@ def expected_unresolved_std(
     exact = Fraction(
         same * comb(v - 2 * k, s) + cross * comb(v - 2 * (k - lam), s), total
     )
-    upper = Fraction(comb(v, 2) * comb(v - 2 * (k - lam), s), total)
+    upper = expected_unresolved(v, 2 * (k - lam), s)
     assert exact <= upper
     return exact, upper
 
@@ -150,7 +150,7 @@ def inequality_chain(v: int, m: int, s: int | None = None) -> ChainReport:
     if not 0 < m < v:
         raise ValueError(f"need 0 < m < v, got m = {m}, v = {v}")
     if s is None:
-        s = math.ceil(2 * v * math.log(v) / m)
+        s = _sample_bound(v, m)
     expected = expected_unresolved(v, m, s)
     if s > v - m:
         return ChainReport(
@@ -324,10 +324,8 @@ def projective_plane_sweep(qmax: int, mc_trials: int = 0, seed: int = 0):
         if prime_power(q) is None:
             continue
         v, k, lam = q * q + q + 1, q + 1, 1
-        m = 2 * (k - lam)
-        s = _sample_bound(v, k, lam)
-        expected = expected_unresolved(v, m, s)
-        report = inequality_chain(v, m, s)
+        report = inequality_chain(v, 2 * (k - lam))
+        s, expected = report.s, report.expected
         chain_ok = "skipped" if report.skipped else str(report.ok).lower()
         mc_rate = ""
         if mc_trials:

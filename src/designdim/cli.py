@@ -50,16 +50,30 @@ def _report(args, body: dict) -> dict:
     }
 
 
-def _load_design(path: str):
-    """The design in a file; a file that cannot be read or parsed is a
-    usage error."""
+def _read(path: str, parse):
+    """parse(text) for the text of a file; a file that cannot be read or
+    parsed is a usage error."""
     try:
         with open(path, "r", encoding="ascii") as fh:
-            return designs.from_text(fh.read())
+            return parse(fh.read())
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from None
     except ValueError as exc:  # UnicodeDecodeError included
         raise UsageError(str(exc)) from None
+
+
+def _load(path: str, graphs: bool = False):
+    """The design in a file or, with graphs (verify only), the incidence
+    graph in an edge-list file; the header says which."""
+    def parse(text):
+        lines = designs.content_lines(text)
+        if not (lines and lines[0].startswith("G ")):
+            return designs.from_text(text)
+        if not graphs:
+            raise UsageError(f"{path} is a graph file, which only verify reads")
+        return incidence.from_edge_text(text)
+
+    return _read(path, parse)
 
 
 def _design_summary(d) -> dict:
@@ -78,7 +92,7 @@ _CONSTRUCTORS = {
     "hadamard-design": lambda p: designs.hadamard_design(designs.hadamard_matrix(int(p))),
     "biaffine": lambda p: designs.biaffine_plane(int(p)),
     "hadamard-std": lambda p: designs.hadamard_std(designs.hadamard_matrix(int(p))),
-    "file": _load_design,
+    "file": _load,
 }
 
 
@@ -115,7 +129,7 @@ def _resolve_bound(d) -> int | None:
 def _cmd_resolve(args) -> int:
     if args.target == "full-mdim" and args.method == "random":
         raise UsageError("full-mdim supports methods exact and greedy only")
-    d = _load_design(args.design)
+    d = _load(args.design)
     designs.require_valid(d)
     bound = _resolve_bound(d)
     solver = dict(
@@ -194,7 +208,7 @@ def _cmd_bounds(args) -> int:
         sys.stdout.write(buf.getvalue())
         return EXIT_OK
     if args.design:
-        d = _load_design(args.design)
+        d = _load(args.design)
         designs.require_valid(d)
     elif args.v is None or args.m is None or args.s is None:
         raise UsageError("give --v, --m and --s (or --design)")
@@ -235,41 +249,30 @@ def _cmd_bounds(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_verify(args) -> int:
-    try:
-        with open(args.design, "r", encoding="ascii") as fh:
-            subject_text = fh.read()
-        lines = designs._content_lines(subject_text)
-        graph_input = bool(lines) and lines[0].startswith("G ")
-        if graph_input:
-            graph = incidence.from_edge_text(subject_text)
-        else:
-            d = designs.from_text(subject_text)
-        with open(args.witness, "r", encoding="ascii") as fh:
-            role, indices = resolve.witness_from_text(fh.read())
-    except (OSError, ValueError) as exc:
-        raise UsageError(str(exc)) from None
-    if graph_input:
+    subject = _load(args.design, graphs=True)
+    role, indices = _read(args.witness, resolve.witness_from_text)
+    if isinstance(subject, incidence.IncidenceGraph):
         # no block structure available: only the distance route applies
         if role != "full":
             raise UsageError(f"graph files support only role 'full', not {role!r}")
-        if any(not 0 <= u < graph.n for u in indices):
+        if any(not 0 <= u < subject.n for u in indices):
             ok, detail = False, "vertex index out of range"
         else:
-            witness = resolve.resolving_witness(graph, indices)
+            witness = resolve.resolving_witness(subject, indices)
             ok = witness is None
             detail = (
                 "resolves the graph" if ok
                 else f"vertices {witness} have equal distance vectors"
             )
     else:
-        ok, detail = resolve.verify_witness(d, role, indices)
+        ok, detail = resolve.verify_witness(subject, role, indices)
     body = {"role": role, "indices": list(indices), "verified": ok, "detail": detail}
     _print_json(_report(args, body))
     return EXIT_OK if ok else EXIT_FAIL
 
 
 def _cmd_export(args) -> int:
-    text = incidence.to_edge_text(incidence.incidence_graph(_load_design(args.design)))
+    text = incidence.to_edge_text(incidence.incidence_graph(_load(args.design)))
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:
             fh.write(text)
@@ -279,7 +282,7 @@ def _cmd_export(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    graph = incidence.incidence_graph(_load_design(args.design))
+    graph = incidence.incidence_graph(_load(args.design))
     cls = incidence.classify(graph)
     array = incidence.intersection_array(graph)
     body = {

@@ -11,12 +11,15 @@ a transversal design (forcing k = lambda*g and lambda*g^2 blocks).
 Constructors here are the standard ones (projective planes over GF(q),
 Sylvester/Paley Hadamard matrices, biaffine planes from AG(2, q), the
 Hadamard-matrix symmetric net).  Correctness never rests on a construction:
-validate() / validate_std() recheck every axiom by exhaustive pair counting
-and are cheap at the scales this package targets (v up to a few thousand).
-They are the one place that knows what a legal design is: a symmetric
-design needs v >= 2 points, a positive order k - lambda and lambda >= 1, a
-net g >= 2 and lambda >= 1, so every valid design has pairwise distinct
-pencils and a connected incidence graph.
+validate() / validate_std() are the one place that knows what a legal
+design is.  Each checks the parameters (a symmetric design needs v >= 2
+points, a positive order k - lambda and lambda >= 1, a net g >= 2 and
+lambda >= 1), then runs the same incidence check on the design and on its
+dual, counting every pair exhaustively; the report lists the parameter
+violations, then at most one violation per side.  Every valid design
+therefore has pairwise distinct pencils and a connected incidence graph,
+and the check is cheap at the scales this package targets (v up to a few
+thousand).
 
 All objects are immutable after construction and safe to share across
 threads.  Points and blocks are dense 0-based integer indices.
@@ -132,6 +135,14 @@ def _mask(indices) -> int:
     for x in indices:
         m |= 1 << x
     return m
+
+
+def _bits(mask: int):
+    """The indices of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def block_masks(d: Design) -> list[int]:
@@ -357,12 +368,93 @@ def _pair_count_violation(masks, lam: int, class_of=None):
     return None
 
 
+def _index_masks(rows, v: int, noun: str):
+    """(masks, None) with each row of point indices as a bitset, or
+    (None, violation) naming the first row that holds an index outside
+    0..v-1 or holds one index twice."""
+    masks = []
+    for i, row in enumerate(rows):
+        if row and (min(row) < 0 or max(row) >= v):
+            return None, f"{noun} {i} contains an out-of-range point"
+        m = _mask(row)
+        if m.bit_count() != len(row):
+            return None, f"{noun} {i} repeats a point"
+        masks.append(m)
+    return masks, None
+
+
+def _side_violation(d: Design, members, pencils, nouns, classes=None) -> str | None:
+    """The first violation of the incidence rule on one side of d, or None.
+    members are bitsets over the elements, pencils[x] the bitset of the
+    members holding element x, nouns the (element, member) names and
+    classes a net's element classes.  The rule: every member has k
+    elements; the classes split the elements into k classes of g and every
+    member meets every class once; two elements share lambda members, or
+    none when one class holds both."""
+    element, member = nouns
+    for j, m in enumerate(members):
+        if m.bit_count() != d.k:
+            return f"{member} {j} is incident with {m.bit_count()} {element}s, expected k = {d.k}"
+    class_of = None
+    if classes is not None:
+        if (len(classes) != d.k or any(len(c) != d.g for c in classes)
+                or _mask(x for c in classes for x in c) != (1 << len(pencils)) - 1):
+            return (f"{element} classes do not split the {element}s"
+                    f" into k = {d.k} classes of g = {d.g}")
+        everyone = (1 << len(members)) - 1
+        class_of = [0] * len(pencils)
+        for ci, c in enumerate(classes):
+            seen = twice = 0
+            for x in c:
+                class_of[x] = ci
+                twice |= seen & pencils[x]
+                seen |= pencils[x]
+            if missed := twice | everyone & ~seen:
+                j = next(_bits(missed))
+                return f"{member} {j} does not meet {element} class {ci} exactly once"
+    if hit := _pair_count_violation(pencils, d.lam, class_of):
+        x, y, got, want = hit
+        return f"{element} pair ({x}, {y}) shares {got} {member}s, expected {want}"
+    return None
+
+
+def _parallel_classes(d: TransversalDesign, pencils) -> tuple[tuple[int, ...], ...]:
+    """The blocks of a net grouped into parallel classes, ordered by their
+    lowest block.  The class of block j is j and the blocks disjoint from
+    it: the complement of the union of its points' pencils."""
+    every = (1 << len(d.blocks)) - 1
+    classes = {}
+    for j, blk in enumerate(d.blocks):
+        meets = 0
+        for x in blk:
+            meets |= pencils[x]
+        classes.setdefault(every & ~meets | 1 << j)
+    return tuple(tuple(_bits(c)) for c in classes)
+
+
+def _both_sides(d: Design, bmasks) -> list[str]:
+    """The rule run on d, whose members are its blocks, and on its dual,
+    whose members are the point pencils: at most one violation per side.
+    A net's dual-side violation says that the dual is not a transversal
+    design."""
+    pencils = pencil_masks(d)
+    net = isinstance(d, TransversalDesign)
+    points = _side_violation(d, bmasks, pencils, ("point", "block"), d.classes if net else None)
+    blocks = _side_violation(
+        d, pencils, bmasks, ("block", "point"), _parallel_classes(d, pencils) if net else None
+    )
+    if net and blocks:
+        blocks = f"dual is not a transversal design: {blocks}"
+    return [hit for hit in (points, blocks) if hit]
+
+
 def validate(d: SymmetricDesign) -> ValidationReport:
-    """Exhaustively check every symmetric-design axiom, the parameters
-    v >= 2 and k - lambda >= 1, the order bounds 4q-1 <= v <= q^2+q+1 when
-    q >= 2, and lambda >= 1 (lambda = 0 leaves only the v disjoint edges of
-    k = 1).  Violations are reported (one witness per axiom), never raised;
-    the lambda check comes last, so it never hides another violation."""
+    """Check the parameters v >= 2, k - lambda >= 1, v blocks, the order
+    bounds 4q-1 <= v <= q^2+q+1 when q >= 2 and lambda >= 1 (lambda = 0
+    leaves only the v disjoint edges of k = 1), and run the incidence check
+    on the design and on its dual.  Violations are reported (at most one
+    per side), never raised; the lambda check comes last, so it never hides
+    another violation."""
     violations = []
     v, k, lam = d.v, d.k, d.lam
     if v < 2:
@@ -371,23 +463,10 @@ def validate(d: SymmetricDesign) -> ValidationReport:
         violations.append(f"order k - lambda = {k - lam} must be positive")
     if len(d.blocks) != v:
         violations.append(f"block count {len(d.blocks)} != v = {v}")
-    for j, blk in enumerate(d.blocks):
-        if any(x < 0 or x >= v for x in blk):
-            violations.append(f"block {j} contains an out-of-range point")
-            return ValidationReport(ok=False, violations=tuple(violations))
-    bmasks = block_masks(d)
-    for j, (blk, m) in enumerate(zip(d.blocks, bmasks)):
-        if m.bit_count() != k or len(blk) != k:
-            violations.append(f"block {j} has size {m.bit_count()}, expected k = {k}")
-            break
-    if hit := _pair_count_violation(pencil_masks(d), lam):
-        violations.append(
-            f"point pair ({hit[0]}, {hit[1]}) lies in {hit[2]} blocks, expected lambda = {lam}"
-        )
-    if hit := _pair_count_violation(bmasks, lam):
-        violations.append(
-            f"block pair ({hit[0]}, {hit[1]}) meets in {hit[2]} points, expected lambda = {lam}"
-        )
+    bmasks, bad = _index_masks(d.blocks, v, "block")
+    if bad:
+        return ValidationReport(ok=False, violations=(*violations, bad))
+    violations += _both_sides(d, bmasks)
     q = k - lam
     if q >= 2:
         if not 4 * q - 1 <= v:
@@ -399,39 +478,12 @@ def validate(d: SymmetricDesign) -> ValidationReport:
     return ValidationReport(ok=not violations, violations=tuple(violations))
 
 
-def _recover_parallel_classes(d: TransversalDesign):
-    """Group the blocks into parallel classes (pairwise disjoint, each class
-    partitioning the points).  Returns the classes or an error string."""
-    bmasks = block_masks(d)
-    n = len(bmasks)
-    full = (1 << d.v) - 1
-    assigned = [False] * n
-    classes = []
-    for j in range(n):
-        if assigned[j]:
-            continue
-        members = [j]
-        assigned[j] = True
-        union = bmasks[j]
-        for j2 in range(j + 1, n):
-            if not assigned[j2] and bmasks[j] & bmasks[j2] == 0:
-                if union & bmasks[j2]:
-                    return None, f"blocks {j} and {j2} cannot be grouped into a parallel class"
-                members.append(j2)
-                assigned[j2] = True
-                union |= bmasks[j2]
-        if union != full or len(members) != d.g:
-            return None, f"block {j} lies in no parallel class of size g = {d.g}"
-        classes.append(tuple(members))
-    return tuple(classes), None
-
-
 def validate_std(d: TransversalDesign) -> ValidationReport:
-    """Exhaustively check the transversal-design axioms, the symmetry
-    constraints k = lambda*g and |blocks| = lambda*g^2, the net parameters
-    g >= 2 and lambda >= 1, and that the dual is again a transversal design
-    (blocks resolve into parallel classes and cross-class blocks meet in
-    exactly lambda points)."""
+    """Check the parameters k = lambda*g, lambda*g^2 blocks, g >= 2 and
+    lambda >= 1, and run the incidence check on the net, whose classes are
+    its point classes, and on its dual, whose classes are the parallel
+    classes of blocks.  Violations are reported (parameters, or else at
+    most one per side), never raised."""
     violations = []
     g, k, lam, v = d.g, d.k, d.lam, d.v
     if k != lam * g:
@@ -447,55 +499,9 @@ def validate_std(d: TransversalDesign) -> ValidationReport:
         # past these checks v = lambda*g^2 is the number of block lines, so
         # the header alone never sizes an allocation
         return ValidationReport(ok=False, violations=tuple(violations))
-    class_of = [-1] * v
-    sizes_ok = True
-    for ci, cls in enumerate(d.classes):
-        if len(cls) != g:
-            violations.append(f"point class {ci} has size {len(cls)}, expected g = {g}")
-            sizes_ok = False
-            break
-        for x in cls:
-            if x < 0 or x >= v or class_of[x] != -1:
-                violations.append(f"point classes do not partition the points (point {x})")
-                sizes_ok = False
-                break
-        if not sizes_ok:
-            break
-        for x in cls:
-            class_of[x] = ci
-    if sizes_ok and (len(d.classes) != k or any(c == -1 for c in class_of)):
-        violations.append(f"expected k = {k} point classes covering all {v} points")
-    for j, blk in enumerate(d.blocks):
-        if len(blk) != k or len(set(blk)) != k:
-            violations.append(f"block {j} has size {len(set(blk))}, expected k = {k}")
-            break
-        if sizes_ok and all(0 <= x < v for x in blk):
-            seen_classes = {class_of[x] for x in blk}
-            if len(seen_classes) != k:
-                violations.append(f"block {j} does not meet every point class exactly once")
-                break
-        elif any(x < 0 or x >= v for x in blk):
-            violations.append(f"block {j} contains an out-of-range point")
-            break
-    if not violations:
-        if hit := _pair_count_violation(pencil_masks(d), lam, class_of):
-            violations.append(
-                f"point pair ({hit[0]}, {hit[1]}) lies in {hit[2]} blocks, expected {hit[3]}"
-            )
-    if not violations:
-        classes, err = _recover_parallel_classes(d)
-        if err is not None:
-            violations.append(f"dual is not a transversal design: {err}")
-        else:
-            pclass_of = [0] * len(d.blocks)
-            for ci, cls in enumerate(classes):
-                for j in cls:
-                    pclass_of[j] = ci
-            if hit := _pair_count_violation(block_masks(d), lam, pclass_of):
-                violations.append(
-                    f"dual is not a transversal design: blocks ({hit[0]}, {hit[1]}) "
-                    f"meet in {hit[2]} points, expected {hit[3]}"
-                )
+    bmasks, bad = _index_masks(d.blocks, v, "block")
+    bad = _index_masks(d.classes, v, "point class")[1] or bad
+    violations = [bad] if bad else _both_sides(d, bmasks)
     return ValidationReport(ok=not violations, violations=tuple(violations))
 
 
@@ -521,18 +527,12 @@ def dual(d: Design) -> Design:
 
 def _build_dual(d: Design) -> Design:
     pencils = pencil_masks(d)
-    n_blocks = len(d.blocks)
-    new_blocks = tuple(
-        tuple(j for j in range(n_blocks) if (pencils[x] >> j) & 1)
-        for x in range(d.point_count)
-    )
+    new_blocks = tuple(tuple(_bits(p)) for p in pencils)
     if isinstance(d, SymmetricDesign):
         return SymmetricDesign(v=d.v, k=d.k, lam=d.lam, blocks=new_blocks)
-    classes, err = _recover_parallel_classes(d)
-    if err is not None:
-        raise ValueError(f"parallel classes are not recoverable: {err}")
-    ordered = tuple(sorted((tuple(sorted(c)) for c in classes), key=lambda c: c[0]))
-    return TransversalDesign(g=d.g, k=d.k, lam=d.lam, classes=ordered, blocks=new_blocks)
+    return TransversalDesign(
+        g=d.g, k=d.k, lam=d.lam, classes=_parallel_classes(d, pencils), blocks=new_blocks
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -544,7 +544,7 @@ def _build_dual(d: Design) -> Design:
 # space-separated point indices.  `#` starts a comment line; encoding ASCII.
 
 
-def _content_lines(text: str) -> list[str]:
+def content_lines(text: str) -> list[str]:
     """The stripped lines of text, blank and `#` comment lines dropped: the
     one lexical rule of the design, graph and witness text formats."""
     return [ln for ln in map(str.strip, text.splitlines()) if ln and not ln.startswith("#")]
@@ -564,7 +564,7 @@ def to_text(d: Design) -> str:
 
 
 def from_text(text: str) -> Design:
-    lines = _content_lines(text)
+    lines = content_lines(text)
     if not lines:
         raise ValueError("empty design file")
     head = lines[0].split()

@@ -12,15 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .designs import Design, _content_lines, _derived, require_valid
-
-
-def _bits(mask: int):
-    """The indices of the set bits of mask, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+from .designs import Design, _bits, _derived, content_lines, require_valid
 
 
 class IncidenceGraph:
@@ -224,7 +216,7 @@ def to_edge_text(g: IncidenceGraph) -> str:
 
 
 def from_edge_text(text: str) -> IncidenceGraph:
-    lines = _content_lines(text)
+    lines = content_lines(text)
     if not lines or not lines[0].startswith("G "):
         raise ValueError("missing `G n m bipartition_size` header")
     head = lines[0].split()

@@ -29,9 +29,9 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .designs import (
-    Design, _content_lines, _mask, block_masks, dual, pencil_masks, require_valid,
+    Design, _bits, _mask, block_masks, content_lines, dual, pencil_masks, require_valid,
 )
-from .incidence import IncidenceGraph, _bits, incidence_graph
+from .incidence import IncidenceGraph, incidence_graph
 
 DEFAULT_EXACT_LIMIT = 40
 DEFAULT_NODE_BUDGET = 50_000_000
@@ -101,14 +101,7 @@ def is_semi_resolving(d: Design, blocks) -> bool:
 
 def symm_diff_sizes(d: Design) -> dict[int, int]:
     """Exhaustive histogram of |B(x) ^ B(y)| over all point pairs."""
-    masks = pencil_masks(d)
-    hist: dict[int, int] = {}
-    for y in range(len(masks)):
-        my = masks[y]
-        for x in range(y):
-            size = (masks[x] ^ my).bit_count()
-            hist[size] = hist.get(size, 0) + 1
-    return hist
+    return dict(Counter(sep.bit_count() for sep in separator_masks(pencil_masks(d))))
 
 
 # ---------------------------------------------------------------------------
@@ -146,10 +139,11 @@ def side_resolving_witness(g, landmarks, side_vertices) -> tuple[int, int] | Non
 # sample-size bound
 # ---------------------------------------------------------------------------
 
-def _sample_bound(v: int, k: int, lam: int) -> int:
-    """ceil(v*ln(v)/(k-lambda)), natural logarithm: the one formula behind
-    every reported sample size."""
-    return math.ceil(v * math.log(v) / (k - lam))
+def _sample_bound(v: int, m: int) -> int:
+    """ceil(2*v*ln(v)/m), natural logarithm, for pencil symmetric
+    differences of size m (m = 2(k-lambda) in a symmetric design): the one
+    formula behind every reported and default sample size."""
+    return math.ceil(2 * v * math.log(v) / m)
 
 
 def semi_resolving_sample_size(d: Design) -> int:
@@ -159,7 +153,7 @@ def semi_resolving_sample_size(d: Design) -> int:
     logarithm throughout.  Raises ValueError when the bound exceeds the
     block count, which for symmetric designs means order k - lambda = 1."""
     require_valid(d)
-    s = _sample_bound(d.v, d.k, d.lam)
+    s = _sample_bound(d.v, 2 * (d.k - d.lam))
     if s > d.v:
         raise ValueError(f"sample size {s} exceeds the block count {d.v}")
     return s
@@ -170,7 +164,7 @@ def clamped_sample_size(d: Design) -> int:
     capped at the block count, defined for every design with k > lambda."""
     if d.k <= d.lam:
         raise ValueError(f"k - lambda = {d.k - d.lam} must be positive")
-    return min(_sample_bound(d.v, d.k, d.lam), d.v)
+    return min(_sample_bound(d.v, 2 * (d.k - d.lam)), d.v)
 
 
 # ---------------------------------------------------------------------------
@@ -220,11 +214,12 @@ def randomized_semi_resolving(
     d: Design, s: int | None = None, seed: int = 0, max_retries: int = 100
 ) -> SampledSemiResolvingSet:
     """Repeatedly draw a uniform s-subset of blocks until one semi-resolves
-    the points.  Trial t uses the stream derived from (seed, t)."""
+    the points; s defaults to clamped_sample_size(d).  Trial t uses the
+    stream derived from (seed, t)."""
     require_valid(d)
     v = d.v
     if s is None:
-        s = semi_resolving_sample_size(d)
+        s = clamped_sample_size(d)
     if not 1 <= s <= v:
         raise ValueError(f"sample size {s} outside 1..{v}")
     if max_retries < 1:
@@ -498,16 +493,15 @@ def semi_resolving_set(
 ) -> tuple[tuple[int, ...], int | None]:
     """A semi-resolving block set of d by the named method ("random",
     "greedy" or "exact") and the random method's trial count (None for the
-    others).  With s unspecified, the random method samples
-    min(ceil(v*ln(v)/(k-lambda)), v) blocks."""
+    others).  The random method samples s blocks, by default
+    clamped_sample_size(d)."""
     if method == "exact":
         return min_semi_resolving(d, budget=budget, limit=limit), None
     if method == "greedy":
         return greedy_semi_resolving(d), None
     if method != "random":
         raise ValueError(f"unknown method {method!r}")
-    size = s if s is not None else clamped_sample_size(d)
-    sampled = randomized_semi_resolving(d, s=size, seed=seed, max_retries=max_retries)
+    sampled = randomized_semi_resolving(d, s=s, seed=seed, max_retries=max_retries)
     return sampled.blocks, sampled.trials
 
 
@@ -560,7 +554,7 @@ def witness_to_text(role: str, indices) -> str:
 
 
 def witness_from_text(text: str) -> tuple[str, tuple[int, ...]]:
-    lines = _content_lines(text)
+    lines = content_lines(text)
     if not lines:
         raise ValueError("empty witness file")
     head = lines[0].split()

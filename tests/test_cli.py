@@ -345,6 +345,28 @@ def test_design_file_exit_codes(capsys, tmp_path, command, text, want):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["classify", "export", "resolve", "bounds"])
+def test_graph_file_given_to_a_design_command_exits_two(capsys, tmp_path, command):
+    fano = _construct(capsys, tmp_path, "pg", 2, "fano.sd")
+    graph = tmp_path / "heawood.g"
+    assert _run(capsys, "export", str(fano), "-o", str(graph))[0] == 0
+    code, out, err = _run(capsys, *DESIGN_COMMANDS[command](str(graph), tmp_path))
+    assert code == 2
+    assert out == "" and err == f"{graph} is a graph file, which only verify reads\n"
+
+
+@pytest.mark.parametrize("missing", ["design", "witness"])
+def test_verify_names_the_file_it_cannot_read(capsys, tmp_path, missing):
+    fano = _construct(capsys, tmp_path, "pg", 2, "fano.sd")
+    witness = tmp_path / "w.rs"
+    witness.write_text("RS semi-points\n0 1 2\n")
+    paths = {"design": str(fano), "witness": str(witness), missing: str(tmp_path / "none")}
+    code, out, err = _run(capsys, "verify", paths["design"], paths["witness"])
+    assert code == 2
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith(f"cannot read {tmp_path / 'none'}: [Errno 2] No such file")
+
+
 @pytest.mark.parametrize("argv", [
     ["construct", "pg", "2", "-o"], ["export", "FANO", "-o"], ["resolve", "FANO", "--out"],
 ], ids=["construct", "export", "resolve"])

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import designdim as dd
-from designdim import designs, incidence
+from designdim import designs, incidence, resolve
 from designdim.designs import pencil_masks
 from designdim.resolve import (
     _minimum_hitting_set,
@@ -230,6 +230,15 @@ def test_randomized_is_reproducible(fano):
     a = dd.randomized_semi_resolving(fano, s=3, seed=42)
     b = dd.randomized_semi_resolving(fano, s=3, seed=42)
     assert a == b
+
+
+def test_randomized_default_sample_size_is_clamped(corpus):
+    # ceil(v ln v/(k - lambda)) = 10 exceeds the 9 blocks of ba3: the default
+    # draws all 9, as the method dispatch does
+    d = corpus["ba3"]
+    res = dd.randomized_semi_resolving(d, seed=5)
+    assert res.sample_size == len(res.blocks) == dd.clamped_sample_size(d) == 9
+    assert (res.blocks, res.trials) == resolve.semi_resolving_set(d, "random", seed=5)
 
 
 def test_randomized_rejects_bad_sample_size(fano):
