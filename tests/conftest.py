@@ -4,6 +4,7 @@ from collections import deque
 import pytest
 
 import designdim as dd
+from designdim.fields import make_field, prime_power
 
 PG_ORDERS = (2, 3, 4, 5, 7, 8, 9)
 HADAMARD_DESIGN_ORDERS = (8, 12, 16, 20)
@@ -161,3 +162,55 @@ def _reference_valid(d):
 @pytest.fixture(scope="session")
 def reference_valid():
     return _reference_valid
+
+
+def _reference_projective_plane(q):
+    """Test oracle: PG(2, q) built by testing every (line, point) dot
+    product, v^2 of them, over the same point list and line order as
+    dd.projective_plane."""
+    pp = prime_power(q)
+    if pp is None:
+        raise dd.ConstructionError(f"{q} is not a prime power")
+    F = make_field(*pp)
+    pts = [(1, b, c) for b in F.elements for c in F.elements]
+    pts += [(0, 1, c) for c in F.elements]
+    pts.append((0, 0, 1))
+
+    def dot(u, w):
+        return F.add(F.add(F.mul(u[0], w[0]), F.mul(u[1], w[1])), F.mul(u[2], w[2]))
+
+    blocks = tuple(
+        tuple(i for i, pt in enumerate(pts) if dot(line, pt) == 0) for line in pts
+    )
+    return dd.SymmetricDesign(v=q * q + q + 1, k=q + 1, lam=1, blocks=blocks)
+
+
+@pytest.fixture(scope="session")
+def reference_projective_plane():
+    return _reference_projective_plane
+
+
+def _reference_refinement_greedy(n_items, partitions):
+    """Test oracle: the eager refinement greedy, which recomputes every
+    candidate's gain at every step.  partitions[i] lists the parts
+    (disjoint item bitsets covering every item) of candidate i; returns
+    the candidates in the order taken, lowest index on ties."""
+    classes = [(1 << n_items) - 1]
+    chosen = []
+    while classes := [c for c in classes if c.bit_count() > 1]:
+        sized = [(c, c.bit_count()) for c in classes]
+        # twice the number of same-class pairs each candidate splits
+        gains = [
+            sum(n * n - sum((c & p).bit_count() ** 2 for p in parts) for c, n in sized)
+            for parts in partitions
+        ]
+        best = gains.index(max(gains))
+        assert gains[best] > 0, "valid designs and graphs always separate their items"
+        chosen.append(best)
+        classes = [c & p for c in classes for p in partitions[best]]
+    return chosen
+
+
+@pytest.fixture(scope="session")
+def reference_refinement_greedy():
+    return _reference_refinement_greedy

@@ -37,6 +37,15 @@ def test_projective_plane_is_deterministic():
     assert dd.projective_plane(4) == dd.projective_plane(4)
 
 
+def test_projective_plane_matches_dot_product_reference(reference_projective_plane):
+    """The same blocks, in the same line order, as testing every (line,
+    point) dot product, for every prime power q <= 27: GF(2^e) for e <= 4,
+    GF(3^e) for e <= 3, GF(25) and the primes."""
+    for q in range(2, 28):
+        if dd.prime_power(q):
+            assert dd.projective_plane(q) == reference_projective_plane(q), q
+
+
 def test_validate_counts_every_pair_exhaustively(corpus):
     """Pair counts over all C(v,2) point pairs and block pairs equal lambda."""
     for name, d in corpus.items():

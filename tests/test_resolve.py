@@ -331,6 +331,48 @@ def test_metric_dimension_fallback_matches_pairwise_reference(corpus_graphs, lay
         assert dd.metric_dimension(g, limit=0).landmarks == expected, name
 
 
+def test_refinement_greedy_matches_eager_reference(
+    corpus, corpus_graphs, reference_refinement_greedy
+):
+    """The same ordered picks as the eager scan: block candidates on every
+    corpus design and its dual, layer candidates on every corpus graph with
+    at most 60 vertices."""
+    for name, d in corpus.items():
+        for base in (d, dd.dual(d)):
+            everything = (1 << base.point_count) - 1
+            blocks = [(m, everything ^ m) for m in designs.block_masks(base)]
+            expected = reference_refinement_greedy(base.point_count, blocks)
+            assert resolve._refinement_greedy(base.point_count, blocks) == expected, name
+    for name, g in corpus_graphs.items():
+        if g.n <= 60:
+            expected = reference_refinement_greedy(g.n, g.layers)
+            assert resolve._refinement_greedy(g.n, g.layers) == expected, name
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(st.data())
+def test_refinement_greedy_ties_match_eager_reference(reference_refinement_greedy, data):
+    """Random candidate lists on at most 12 items, with duplicated
+    candidates, empty parts, the one-part candidate and single-item splits
+    (which tie with each other and together separate every item): the
+    picks and their order, lowest index on every tie, are the eager scan's."""
+    n = data.draw(st.integers(1, 12))
+    full = (1 << n) - 1
+
+    def parts_of(labels):
+        return tuple(
+            sum(1 << x for x, label in enumerate(labels) if label == part) for part in range(4)
+        )
+
+    labelled = st.lists(st.integers(0, 3), min_size=n, max_size=n).map(parts_of)
+    pool = data.draw(st.lists(labelled, min_size=1, max_size=6)) + [(full,)]
+    candidates = data.draw(st.lists(st.sampled_from(pool), max_size=12))
+    candidates += [(1 << x, full ^ 1 << x) for x in range(n)]
+    candidates = data.draw(st.permutations(candidates))
+    expected = reference_refinement_greedy(n, candidates)
+    assert resolve._refinement_greedy(n, candidates) == expected
+
+
 def test_greedy_rejects_invalid_design(fano):
     broken = dataclasses.replace(fano, blocks=fano.blocks[:6] + ((0, 1, 2),))
     with pytest.raises(ValueError, match="does not validate"):
