@@ -22,6 +22,7 @@ and independent of PYTHONHASHSEED.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 import random
@@ -244,20 +245,45 @@ def _refinement_greedy(n_items: int, partitions) -> list[int]:
     parts (disjoint item bitsets covering every item) that candidate i
     splits the items into.  Keeps the classes of items not yet told apart
     and repeatedly takes the candidate splitting the most same-class pairs,
-    lowest index on ties.  Returns the candidates in the order taken."""
+    lowest index on ties.  Returns the candidates in the order taken.
+
+    Lazy (Minoux 1978): a heap keyed (-gain, index) holds each candidate's
+    gain as last computed.  Gains only fall as the classes refine (a
+    coverage function), so every stale key bounds its candidate's gain from
+    above.  The top is recomputed and taken when its fresh key is still no
+    greater than the next key, otherwise pushed back; the picks and their
+    order are the eager scan's.  The parts cover every item, so a class's
+    share of the last part is what the other parts leave: the two-part
+    block candidates cost one popcount per class."""
     classes = [(1 << n_items) - 1]
+    sized = [(classes[0], n_items)]
+
+    def gain(i: int) -> int:
+        # twice the number of same-class pairs candidate i splits
+        head, total = partitions[i][:-1], 0
+        for c, n in sized:
+            rest = n
+            for p in head:
+                share = (c & p).bit_count()
+                total -= share * share
+                rest -= share
+            total += n * n - rest * rest
+        return total
+
+    heap = [(-gain(i), i) for i in range(len(partitions))]
+    heapq.heapify(heap)
     chosen = []
-    while classes := [c for c in classes if c.bit_count() > 1]:
-        sized = [(c, c.bit_count()) for c in classes]
-        # twice the number of same-class pairs each candidate splits
-        gains = [
-            sum(n * n - sum((c & p).bit_count() ** 2 for p in parts) for c, n in sized)
-            for parts in partitions
-        ]
-        best = gains.index(max(gains))
-        assert gains[best] > 0, "valid designs and graphs always separate their items"
-        chosen.append(best)
-        classes = [c & p for c in classes for p in partitions[best]]
+    while sized := [(c, n) for c in classes if (n := c.bit_count()) > 1]:
+        while True:
+            assert heap, "valid designs and graphs always separate their items"
+            i = heapq.heappop(heap)[1]
+            # a candidate that splits nothing never will again: drop it
+            if fresh := gain(i):
+                if not heap or (-fresh, i) <= heap[0]:
+                    break
+                heapq.heappush(heap, (-fresh, i))
+        chosen.append(i)
+        classes = [c & p for c, _ in sized for p in partitions[i]]
     return chosen
 
 

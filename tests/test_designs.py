@@ -268,6 +268,20 @@ def test_std_header_does_not_size_an_allocation():
     assert report.violations == ("k = 1 != lambda*g = 0",)
 
 
+def test_sd_block_count_mismatch_does_not_size_an_allocation():
+    """A library-built design with fewer blocks than v points is reported
+    by its parameters alone: no pencils, no pair counts over absent blocks."""
+    d = dd.SymmetricDesign(v=10**6, k=2, lam=1, blocks=())
+    tracemalloc.start()
+    try:
+        report = dd.validate(d)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert report.violations == ("block count 0 != v = 1000000",)
+
+
 def _tiny_designs():
     """Every symmetric design with v <= 4 (every k, every lambda <= k, every
     tuple of v k-subsets), and every block tuple over the point classes of
