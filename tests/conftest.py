@@ -4,6 +4,7 @@ from collections import deque
 import pytest
 
 import designdim as dd
+from designdim.designs import _bits
 from designdim.fields import make_field, prime_power
 
 PG_ORDERS = (2, 3, 4, 5, 7, 8, 9)
@@ -214,3 +215,67 @@ def _reference_refinement_greedy(n_items, partitions):
 @pytest.fixture(scope="session")
 def reference_refinement_greedy():
     return _reference_refinement_greedy
+
+
+def _reference_intersection_array(g):
+    """Test oracle: tally neighbor counts by distance over every ordered
+    vertex pair (u, w), u-major: the neighbors of w in the layers i-1 and i
+    of u, and the rest; return the intersection array if all counts agree
+    per distance, else the first conflicting witness in vertex-index
+    order."""
+    seen = [None] * (g.diameter + 1)
+    for u, row in enumerate(g.layers):
+        conflicts = []  # the first (w, i, counts) per layer
+        below = 0
+        for i, layer in enumerate(row):
+            for w in _bits(layer):
+                m = g.nbr[w]
+                down = (m & below).bit_count()
+                same = (m & layer).bit_count()
+                counts = (down, same, m.bit_count() - down - same)
+                if seen[i] is None:
+                    seen[i] = ((u, w), counts)
+                elif seen[i][1] != counts:
+                    conflicts.append((w, i, counts))
+                    break
+            below = layer
+        if conflicts:
+            w, i, counts = min(conflicts)
+            return dd.NotDistanceRegular(
+                distance=i,
+                first_pair=seen[i][0],
+                first_counts=seen[i][1],
+                pair=(u, w),
+                counts=counts,
+            )
+    return dd.IntersectionArray(
+        c=tuple(counts[0] for _, counts in seen[1:]),
+        a=tuple(counts[1] for _, counts in seen),
+        b=tuple(counts[2] for _, counts in seen[:-1]),
+    )
+
+
+@pytest.fixture(scope="session")
+def reference_intersection_array():
+    return _reference_intersection_array
+
+
+def _reference_pair_count_violation(masks, lam, class_of=None):
+    """Test oracle: the first pair x < y, y-major, whose masks share other
+    than the expected number of bits (lam, or 0 for two members of one
+    class of class_of), as (x, y, got, expected); None when every pair
+    agrees.  One popcount per pair."""
+    for y, my in enumerate(masks):
+        for x in range(y):
+            got = (masks[x] & my).bit_count()
+            # got == lam is right except for two members of one class
+            if got != lam or class_of is not None and got and class_of[x] == class_of[y]:
+                want = lam if class_of is None or class_of[x] != class_of[y] else 0
+                if got != want:
+                    return x, y, got, want
+    return None
+
+
+@pytest.fixture(scope="session")
+def reference_pair_count_violation():
+    return _reference_pair_count_violation

@@ -420,3 +420,43 @@ def test_validators_agree_with_the_definitions_on_tiny_designs(reference_valid):
         for blocks in itertools.product(subsets, repeat=2):
             d = dd.TransversalDesign(g=2, k=2, lam=1, classes=classes, blocks=blocks)
             assert dd.validate_design(d).ok == reference_valid(d), d
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(data=st.data())
+def test_pair_count_violation_matches_reference(corpus, reference_pair_count_violation, data):
+    """Random 0/1 incidence matrices, and the point or block side of a small
+    corpus design with up to three incidences flipped, each with no
+    classes, random classes or (for a net's point side) its own classes:
+    the same first bad pair, y-major, with the same counts."""
+    if data.draw(st.booleans(), label="random"):
+        members = data.draw(st.integers(1, 12), label="members")
+        masks = data.draw(st.lists(st.integers(0, (1 << members) - 1), min_size=1, max_size=12),
+                          label="masks")
+        lam = data.draw(st.integers(0, 3), label="lambda")
+        own_classes = None
+    else:
+        d = corpus[data.draw(st.sampled_from(("pg2", "pg3", "ba2", "ba3", "hstd2", "hstd4")),
+                             label="design")]
+        points = data.draw(st.booleans(), label="point side")
+        masks = designs.pencil_masks(d) if points else designs.block_masks(d)
+        members = len(d.blocks) if points else d.point_count
+        for x, j in data.draw(st.lists(st.tuples(st.integers(0, len(masks) - 1),
+                                                 st.integers(0, members - 1)), max_size=3),
+                              label="flips"):
+            masks[x] ^= 1 << j
+        lam = d.lam
+        own_classes = getattr(d, "classes", None) if points else None
+    class_of = data.draw(st.sampled_from(["none", "random", "own"]), label="classes")
+    if class_of == "random":
+        class_of = data.draw(st.lists(st.integers(0, 2), min_size=len(masks), max_size=len(masks)),
+                             label="class of")
+    elif class_of == "own" and own_classes:
+        class_of = [0] * len(masks)
+        for ci, c in enumerate(own_classes):
+            for x in c:
+                class_of[x] = ci
+    else:
+        class_of = None
+    expected = reference_pair_count_violation(masks, lam, class_of)
+    assert designs._pair_count_violation(masks, lam, class_of) == expected

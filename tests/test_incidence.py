@@ -3,6 +3,8 @@ import sys
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import designdim as dd
 
@@ -158,6 +160,56 @@ def test_not_drg_witness_is_deterministic(fano):
     )
 
 
+def _with_edge(g, u, w):
+    adj = [list(ns) for ns in g.adj]
+    adj[u].append(w)
+    adj[w].append(u)
+    return dd.IncidenceGraph(adj)
+
+
+def test_intersection_array_matches_reference(corpus_graphs, reference_intersection_array):
+    """Every corpus graph, and copies with one chord: two points (not
+    bipartite), vertex 0 and the first vertex at distance 3 from it (still
+    bipartite on a design, where that vertex is a block) and the last two
+    vertices."""
+    for name, g in corpus_graphs.items():
+        assert dd.intersection_array(g) == reference_intersection_array(g), name
+        far = g.layers[0][3] & -g.layers[0][3]
+        for u, w in ((0, 1), (0, far.bit_length() - 1), (g.n - 2, g.n - 1)):
+            if g.nbr[u] >> w & 1:
+                continue
+            h = _with_edge(g, u, w)
+            assert dd.intersection_array(h) == reference_intersection_array(h), (name, u, w)
+
+
+@st.composite
+def tree_plus_edges(draw):
+    """Adjacency lists of a random connected graph on 1..14 vertices: a
+    random tree (each vertex joins an earlier one) plus up to 12 extra
+    edges, relabelled.  Irregular and mostly not distance-regular; some are
+    trees and some are bipartite."""
+    n = draw(st.integers(1, 14), label="vertices")
+    edges = {(draw(st.integers(0, u - 1), label="parent"), u) for u in range(1, n)}
+    vertex = st.integers(0, n - 1)
+    edges |= {(u, w) for u, w in draw(st.lists(st.tuples(vertex, vertex), max_size=12))
+              if u < w}
+    label = draw(st.permutations(range(n)), label="labels")
+    adj = [[] for _ in range(n)]
+    for u, w in edges:
+        adj[label[u]].append(label[w])
+        adj[label[w]].append(label[u])
+    return adj
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(adj=tree_plus_edges())
+def test_intersection_array_matches_reference_on_random_graphs(
+    reference_intersection_array, adj
+):
+    g = dd.IncidenceGraph(adj)
+    assert dd.intersection_array(g) == reference_intersection_array(g)
+
+
 # ---------------------------------------------------------------------------
 # classification
 # ---------------------------------------------------------------------------
@@ -203,14 +255,40 @@ def test_distance_matrix_properties(corpus_graphs, layer_distance):
             assert layer_distance(g, u, w) <= layer_distance(g, u, x) + layer_distance(g, x, w)
 
 
+def _assert_matches_bfs(g, dists):
+    """The layers, diameter and part of g agree with reference BFS
+    distances; part is the parity of the distance from vertex 0 when no
+    edge joins two vertices of equal parity."""
+    assert g.diameter == max(max(row) for row in dists)
+    for u, dist in enumerate(dists):
+        expected = [0] * (g.diameter + 1)
+        for w, i in enumerate(dist):
+            expected[i] |= 1 << w
+        assert g.layers[u] == tuple(expected), u
+    parity = tuple(i & 1 for i in dists[0])
+    bipartite = all(parity[u] != parity[w] for u in range(g.n) for w in g.adj[u])
+    assert g.part == (parity if bipartite else None)
+
+
 def test_layers_match_reference_bfs(corpus_graphs, bfs_distances):
     for name, g in corpus_graphs.items():
-        for u, dist in enumerate(bfs_distances(g)):
-            expected = [0] * (g.diameter + 1)
-            for w, i in enumerate(dist):
-                expected[i] |= 1 << w
-            assert g.layers[u] == tuple(expected), (name, u)
-        assert g.diameter == max(max(row) for row in bfs_distances(g)), name
+        _assert_matches_bfs(g, bfs_distances(g))
+    # one vertex, and a path whose diameter is the vertex count minus one
+    for g in (dd.IncidenceGraph([()]),
+              dd.IncidenceGraph([[w for w in (u - 1, u + 1) if 0 <= w < 300] for u in range(300)])):
+        _assert_matches_bfs(g, bfs_distances(g))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(adj=tree_plus_edges(), other=tree_plus_edges())
+def test_layers_match_reference_bfs_on_random_graphs(bfs_distances, adj, other):
+    """Random connected graphs (irregular, often not bipartite, some
+    trees); side by side, two of them are rejected as disconnected."""
+    g = dd.IncidenceGraph(adj)
+    _assert_matches_bfs(g, bfs_distances(g))
+    shift = len(adj)
+    with pytest.raises(ValueError, match="^graph is not connected$"):
+        dd.IncidenceGraph(adj + [[w + shift for w in ns] for ns in other])
 
 
 def _cycle(n):
