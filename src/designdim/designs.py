@@ -145,6 +145,27 @@ def _bits(mask: int):
         mask ^= low
 
 
+def _tally(masks) -> list[int]:
+    """Bit-sliced counts: bit t of planes[b] is bit b of the number of
+    masks holding t, summed by one ripple-carry add per mask."""
+    planes = []
+    for m in masks:
+        for b, p in enumerate(planes):
+            planes[b] = p ^ m
+            if not (m := m & p):
+                break
+        else:
+            planes.append(m)
+    return planes
+
+
+def _tally_is(planes, count: int, scope: int) -> int:
+    """The bits of scope whose tally in planes is count."""
+    for b, p in enumerate(planes):
+        scope &= p if count >> b & 1 else ~p
+    return 0 if count >> len(planes) else scope
+
+
 def block_masks(d: Design) -> list[int]:
     """Each block as a bitset over the point universe."""
     return [_mask(b) for b in d.blocks]
@@ -368,19 +389,29 @@ def hadamard_std(H: HadamardMatrix) -> TransversalDesign:
 # validation
 # ---------------------------------------------------------------------------
 
-def _pair_count_violation(masks, lam: int, class_of=None):
-    """The first pair x < y, y-major, whose masks share other than the
-    expected number of bits (lam, or 0 for two members of one class of
-    class_of), as (x, y, got, expected); None when every pair agrees."""
-    for y, my in enumerate(masks):
-        for x in range(y):
-            got = (masks[x] & my).bit_count()
-            # got == lam is right except for two members of one class
-            if got != lam or class_of is not None and got and class_of[x] == class_of[y]:
-                want = lam if class_of is None or class_of[x] != class_of[y] else 0
-                if got != want:
-                    return x, y, got, want
-    return None
+def _pair_count_violation(rows, members, lam: int, class_of=None):
+    """The first pair x < y, y-major, that shares other than the expected
+    number of members (lam, or 0 for two elements of one class of
+    class_of), as (x, y, got, expected); None when every pair agrees.
+    rows[x] lists the members holding x and members[j] is the bitset of
+    the elements of member j, so one tally of the members in rows[x]
+    counts what x shares with every y."""
+    classes = {}
+    for x, c in enumerate(class_of or ()):
+        classes[c] = classes.get(c, 0) | 1 << x
+    hit, best = None, len(rows)
+    for x, row in enumerate(rows):
+        if x + 1 >= best:
+            break  # every pair left is y-major after the hit
+        scope = (1 << best) - (2 << x)  # the y with x < y < best
+        planes = _tally([members[j] for j in row])
+        same = classes[class_of[x]] & scope if class_of else 0
+        good = _tally_is(planes, lam, scope & ~same) | (same and _tally_is(planes, 0, same))
+        if bad := scope & ~good:
+            best = next(_bits(bad))
+            got = sum((p >> best & 1) << b for b, p in enumerate(planes))
+            hit = x, best, got, 0 if same >> best & 1 else lam
+    return hit
 
 
 def _index_masks(rows, v: int, noun: str):
@@ -398,14 +429,14 @@ def _index_masks(rows, v: int, noun: str):
     return masks, None
 
 
-def _side_violation(d: Design, members, pencils, nouns, classes=None) -> str | None:
+def _side_violation(d: Design, members, pencils, rows, nouns, classes=None) -> str | None:
     """The first violation of the incidence rule on one side of d, or None.
-    members are bitsets over the elements, pencils[x] the bitset of the
-    members holding element x, nouns the (element, member) names and
-    classes a net's element classes.  The rule: every member has k
-    elements; the classes split the elements into k classes of g and every
-    member meets every class once; two elements share lambda members, or
-    none when one class holds both."""
+    members are bitsets over the elements, pencils[x] the bitset and
+    rows[x] the list of the members holding element x, nouns the
+    (element, member) names and classes a net's element classes.  The
+    rule: every member has k elements; the classes split the elements into
+    k classes of g and every member meets every class once; two elements
+    share lambda members, or none when one class holds both."""
     element, member = nouns
     for j, m in enumerate(members):
         if m.bit_count() != d.k:
@@ -427,7 +458,7 @@ def _side_violation(d: Design, members, pencils, nouns, classes=None) -> str | N
             if missed := twice | everyone & ~seen:
                 j = next(_bits(missed))
                 return f"{member} {j} does not meet {element} class {ci} exactly once"
-    if hit := _pair_count_violation(pencils, d.lam, class_of):
+    if hit := _pair_count_violation(rows, members, d.lam, class_of):
         x, y, got, want = hit
         return f"{element} pair ({x}, {y}) shares {got} {member}s, expected {want}"
     return None
@@ -453,10 +484,17 @@ def _both_sides(d: Design, bmasks) -> list[str]:
     A net's dual-side violation says that the dual is not a transversal
     design."""
     pencils = pencil_masks(d)
+    rows = [[] for _ in pencils]
+    for j, blk in enumerate(d.blocks):
+        for x in blk:
+            rows[x].append(j)
     net = isinstance(d, TransversalDesign)
-    points = _side_violation(d, bmasks, pencils, ("point", "block"), d.classes if net else None)
+    points = _side_violation(
+        d, bmasks, pencils, rows, ("point", "block"), d.classes if net else None
+    )
     blocks = _side_violation(
-        d, pencils, bmasks, ("block", "point"), _parallel_classes(d, pencils) if net else None
+        d, pencils, bmasks, d.blocks, ("block", "point"),
+        _parallel_classes(d, pencils) if net else None,
     )
     if net and blocks:
         blocks = f"dual is not a transversal design: {blocks}"

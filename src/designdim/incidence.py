@@ -1,25 +1,27 @@
 """Incidence graphs with precomputed distance layers.
 
 The incidence graph of a design puts its points at vertices 0..v-1 and its
-blocks at v..2v-1, joining a point to every block containing it.  A
-frontier-bitset breadth-first search from every vertex u computes its
+blocks at v..2v-1, joining a point to every block containing it.  The
 distance layers Gamma_i(u), the vertex bitsets of the vertices at distance
-i from u; every distance question below reads them.  The finished graph is
-immutable.
+i from u, are built for every u at once, level by level: the ball of
+radius i around u is the union of the radius-(i-1) balls around u and its
+neighbors.  Every distance question below reads them.  The finished graph
+is immutable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .designs import Design, _bits, _derived, content_lines, require_valid
+from .designs import Design, _bits, _derived, _tally, _tally_is, content_lines, require_valid
 
 
 class IncidenceGraph:
     """Undirected connected graph with its distance layers.
 
     nbr[u] is the neighbor bitset of vertex u; layers[u][i] is Gamma_i(u),
-    for i in 0..diameter (0 past the eccentricity of u).  part tags each
+    for i in 0..diameter (0 past the eccentricity of u), from diameter
+    rounds of one OR per vertex and edge end.  part tags each
     vertex with its side of the bipartition (0 = point side) when the graph
     is bipartite, else None.  point_count is the size of the point side when
     the graph came from a design (or an imported bipartition header), else
@@ -33,28 +35,29 @@ class IncidenceGraph:
         self.n = n = len(self.adj)
         if n == 0:
             raise ValueError("empty graph")
+        self.nbr = nbr = tuple(sum(1 << w for w in ns if 0 <= w < n) for ns in self.adj)
         for u, ns in enumerate(self.adj):
+            bit = 1 << u
             for w in ns:
                 if not 0 <= w < n or w == u:
                     raise ValueError(f"bad neighbor {w} of vertex {u}")
-                if u not in self.adj[w]:
+                if not nbr[w] & bit:
                     raise ValueError(f"edge ({u}, {w}) is not symmetric")
-        self.nbr = nbr = tuple(sum(1 << w for w in ns) for ns in self.adj)
         full = (1 << n) - 1
-        rows = []
-        for u in range(n):
-            seen = frontier = 1 << u
-            row = [frontier]
-            while seen != full:
-                reach = 0
-                for x in _bits(frontier):
-                    reach |= nbr[x]
-                frontier = reach & ~seen
-                if not frontier:
+        balls = [1 << u for u in range(n)]
+        rows = [[ball] for ball in balls]
+        growing = [u for u in range(n) if balls[u] != full]
+        while growing:
+            below = balls[:]
+            for u in growing:
+                ball = below[u]
+                for x in self.adj[u]:
+                    ball |= below[x]
+                if ball == below[u]:
                     raise ValueError("graph is not connected")
-                seen |= frontier
-                row.append(frontier)
-            rows.append(row)
+                balls[u] = ball
+                rows[u].append(ball ^ below[u])
+            growing = [u for u in growing if balls[u] != full]
         self.diameter = max(len(row) for row in rows) - 1
         self.layers = tuple(tuple(row) + (0,) * (self.diameter + 1 - len(row)) for row in rows)
         odd = sum(self.layers[0][1::2])  # the layers are disjoint
@@ -124,39 +127,54 @@ class NotDistanceRegular:
 
 
 def intersection_array(g: IncidenceGraph) -> IntersectionArray | NotDistanceRegular:
-    """Tally neighbor counts by distance over every ordered vertex pair
-    (u, w): the neighbors of w in the layers i-1 and i of u, and the rest;
-    return the intersection array if all counts agree per distance, else the
-    first conflicting witness in vertex-index order."""
-    seen: list[tuple[tuple[int, int], tuple[int, int, int]] | None] = [None] * (g.diameter + 1)
-    for u, row in enumerate(g.layers):
-        conflicts = []  # the first (w, i, counts) per layer
-        below = 0
-        for i, layer in enumerate(row):
-            for w in _bits(layer):
-                m = g.nbr[w]
-                down = (m & below).bit_count()
-                same = (m & layer).bit_count()
-                counts = (down, same, m.bit_count() - down - same)
-                if seen[i] is None:
-                    seen[i] = ((u, w), counts)
-                elif seen[i][1] != counts:
-                    conflicts.append((w, i, counts))
-                    break
-            below = layer
-        if conflicts:
-            w, i, counts = min(conflicts)
-            return NotDistanceRegular(
-                distance=i,
-                first_pair=seen[i][0],
-                first_counts=seen[i][1],
-                pair=(u, w),
-                counts=counts,
-            )
+    """Check the neighbor counts (down, same, up) of w in the layers i-1, i
+    and i+1 of u for every pair (u, w) at distance i against the lowest
+    such pair; return the intersection array if all agree, else the lowest
+    conflicting pair as the witness.  For each w and i, one tally of the
+    layers Gamma_(i-1)(x) of the neighbors x of w counts down for every u
+    in Gamma_i(w) at once; their layers Gamma_i(x) count same (0 when the
+    graph is bipartite)."""
+    layers, nbr = g.layers, g.nbr
+
+    def counts(u, w, i):
+        m = nbr[w]
+        down = (m & layers[u][i - 1]).bit_count() if i else 0
+        same = (m & layers[u][i]).bit_count()
+        return down, same, m.bit_count() - down - same
+
+    firsts = []
+    for i in range(g.diameter + 1):
+        u = next(u for u, row in enumerate(layers) if row[i])
+        w = next(_bits(layers[u][i]))
+        firsts.append(((u, w), counts(u, w, i)))
+    witness, lower = None, (1 << g.n) - 1  # lower: the u that would beat it
+    for w, ns in enumerate(g.adj):
+        for i, scope in enumerate(layers[w]):
+            if not (scope := scope & lower):
+                continue
+            down, same, up = firsts[i][1]
+            good = 0
+            if len(ns) == down + same + up:
+                good = _tally_is(_tally(layers[x][i - 1] & scope for x in ns) if i else [],
+                                 down, scope)
+                if g.part is None:
+                    good = _tally_is(_tally(layers[x][i] & good for x in ns), same, good)
+            if bad := scope & ~good:
+                u = next(_bits(bad))
+                witness, lower = (u, w, i), (1 << u) - 1
+    if witness:
+        u, w, i = witness
+        return NotDistanceRegular(
+            distance=i,
+            first_pair=firsts[i][0],
+            first_counts=firsts[i][1],
+            pair=(u, w),
+            counts=counts(u, w, i),
+        )
     return IntersectionArray(
-        c=tuple(counts[0] for _, counts in seen[1:]),
-        a=tuple(counts[1] for _, counts in seen),
-        b=tuple(counts[2] for _, counts in seen[:-1]),
+        c=tuple(first[0] for _, first in firsts[1:]),
+        a=tuple(first[1] for _, first in firsts),
+        b=tuple(first[2] for _, first in firsts[:-1]),
     )
 
 
@@ -181,7 +199,7 @@ class GraphClassification:
 
 
 def classify(g: IncidenceGraph) -> GraphClassification:
-    """Bipartiteness by 2-coloring; antipodality iff the vertices at maximal
+    """Bipartiteness read from g.part; antipodality iff the vertices at maximal
     distance d from each vertex are pairwise at distance d (the distance-d
     graph is a disjoint union of cliques), that is, iff Gamma_d(u) minus w
     lies in Gamma_d(w) for every u and every w in Gamma_d(u)."""

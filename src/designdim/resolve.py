@@ -101,8 +101,9 @@ def is_semi_resolving(d: Design, blocks) -> bool:
 
 
 def symm_diff_sizes(d: Design) -> dict[int, int]:
-    """Exhaustive histogram of |B(x) ^ B(y)| over all point pairs."""
-    return dict(Counter(sep.bit_count() for sep in separator_masks(pencil_masks(d))))
+    """Exhaustive histogram of |B(x) ^ B(y)| over all point pairs, one at a time."""
+    masks = pencil_masks(d)
+    return dict(Counter((mx ^ my).bit_count() for y, my in enumerate(masks) for mx in masks[:y]))
 
 
 # ---------------------------------------------------------------------------

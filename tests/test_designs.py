@@ -430,8 +430,8 @@ def test_pair_count_violation_matches_reference(corpus, reference_pair_count_vio
     classes, random classes or (for a net's point side) its own classes:
     the same first bad pair, y-major, with the same counts."""
     if data.draw(st.booleans(), label="random"):
-        members = data.draw(st.integers(1, 12), label="members")
-        masks = data.draw(st.lists(st.integers(0, (1 << members) - 1), min_size=1, max_size=12),
+        width = data.draw(st.integers(1, 12), label="members")
+        masks = data.draw(st.lists(st.integers(0, (1 << width) - 1), min_size=1, max_size=12),
                           label="masks")
         lam = data.draw(st.integers(0, 3), label="lambda")
         own_classes = None
@@ -440,9 +440,9 @@ def test_pair_count_violation_matches_reference(corpus, reference_pair_count_vio
                              label="design")]
         points = data.draw(st.booleans(), label="point side")
         masks = designs.pencil_masks(d) if points else designs.block_masks(d)
-        members = len(d.blocks) if points else d.point_count
+        width = len(d.blocks) if points else d.point_count
         for x, j in data.draw(st.lists(st.tuples(st.integers(0, len(masks) - 1),
-                                                 st.integers(0, members - 1)), max_size=3),
+                                                 st.integers(0, width - 1)), max_size=3),
                               label="flips"):
             masks[x] ^= 1 << j
         lam = d.lam
@@ -458,5 +458,7 @@ def test_pair_count_violation_matches_reference(corpus, reference_pair_count_vio
                 class_of[x] = ci
     else:
         class_of = None
+    rows = [list(designs._bits(m)) for m in masks]
+    members = [designs._mask(x for x, row in enumerate(rows) if j in row) for j in range(width)]
     expected = reference_pair_count_violation(masks, lam, class_of)
-    assert designs._pair_count_violation(masks, lam, class_of) == expected
+    assert designs._pair_count_violation(rows, members, lam, class_of) == expected

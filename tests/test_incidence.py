@@ -1,4 +1,5 @@
 import random
+import re
 import sys
 import threading
 
@@ -321,6 +322,50 @@ def test_long_path_is_not_limited_by_distance_storage():
 def test_disconnected_graph_rejected():
     with pytest.raises(ValueError, match="not connected"):
         dd.IncidenceGraph([(1,), (0,), (3,), (2,)])
+
+
+def _first_adjacency_fault(adj):
+    """The message for the first bad entry, vertex by vertex and each
+    vertex's neighbors in increasing order: out of range or the vertex
+    itself, or an edge missing from the other end's list."""
+    adj = [sorted(set(ns)) for ns in adj]
+    for u, ns in enumerate(adj):
+        for w in ns:
+            if not 0 <= w < len(adj) or w == u:
+                return f"bad neighbor {w} of vertex {u}"
+            if u not in adj[w]:
+                return f"edge ({u}, {w}) is not symmetric"
+    return None
+
+
+@pytest.mark.parametrize("adj, message", [
+    ([[1, 5], [2], [1]], "edge (0, 1) is not symmetric"),  # before the bad 5
+    ([[1], [0, 7]], "bad neighbor 7 of vertex 1"),
+    ([[-1, 1], [0]], "bad neighbor -1 of vertex 0"),
+    ([[0, 1], [0]], "bad neighbor 0 of vertex 0"),
+    ([[2], [0], [0]], "edge (1, 0) is not symmetric"),
+    ([[1, 2], [0, 9], [0], [0]], "bad neighbor 9 of vertex 1"),  # before (3, 0)
+])
+def test_first_adjacency_fault_is_reported(adj, message):
+    assert _first_adjacency_fault(adj) == message
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        dd.IncidenceGraph(adj)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(adj=st.integers(1, 8).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-2, n + 1), max_size=4), min_size=n, max_size=n)))
+def test_adjacency_faults_in_scan_order(adj):
+    """Random adjacency lists with out-of-range entries, loops and one-way
+    edges, often several at once: the first fault in scan order is the one
+    reported."""
+    expected = _first_adjacency_fault(adj)
+    try:
+        dd.IncidenceGraph(adj)
+    except ValueError as exc:
+        assert str(exc) == (expected or "graph is not connected")
+    else:
+        assert expected is None
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 import dataclasses
 import itertools
 import random
+import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -156,6 +158,26 @@ def test_biaffine3_histogram():
 
 def test_hadamard_std4_histogram():
     assert dd.symm_diff_sizes(dd.hadamard_std(dd.hadamard_matrix(4))) == {8: 4, 4: 24}
+
+
+def test_histogram_counts_every_separator(corpus):
+    for name, d in corpus.items():
+        expected = Counter(sep.bit_count() for sep in separator_masks(pencil_masks(d)))
+        assert dd.symm_diff_sizes(d) == dict(expected), name
+
+
+def test_histogram_streams_its_pairs():
+    """pg16 has 37 128 point pairs; keeping every pencil difference at once
+    peaks at about 2.5 MiB."""
+    d = dd.projective_plane(16)
+    tracemalloc.start()
+    try:
+        hist = dd.symm_diff_sizes(d)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert hist == {32: 273 * 272 // 2}
+    assert peak < 256 << 10
 
 
 # ---------------------------------------------------------------------------
