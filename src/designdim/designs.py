@@ -389,23 +389,20 @@ def hadamard_std(H: HadamardMatrix) -> TransversalDesign:
 # validation
 # ---------------------------------------------------------------------------
 
-def _pair_count_violation(rows, members, lam: int, class_of=None):
+def _pair_count_violation(rows, members, lam: int, class_masks=None):
     """The first pair x < y, y-major, that shares other than the expected
-    number of members (lam, or 0 for two elements of one class of
-    class_of), as (x, y, got, expected); None when every pair agrees.
-    rows[x] lists the members holding x and members[j] is the bitset of
-    the elements of member j, so one tally of the members in rows[x]
-    counts what x shares with every y."""
-    classes = {}
-    for x, c in enumerate(class_of or ()):
-        classes[c] = classes.get(c, 0) | 1 << x
+    number of members (lam, or 0 when class_masks[x], the bitset of the
+    class of x, holds y), as (x, y, got, expected); None when every pair
+    agrees.  rows[x] lists the members holding x and members[j] is the
+    bitset of the elements of member j, so one tally of the members in
+    rows[x] counts what x shares with every y."""
     hit, best = None, len(rows)
     for x, row in enumerate(rows):
         if x + 1 >= best:
             break  # every pair left is y-major after the hit
         scope = (1 << best) - (2 << x)  # the y with x < y < best
         planes = _tally([members[j] for j in row])
-        same = classes[class_of[x]] & scope if class_of else 0
+        same = class_masks[x] & scope if class_masks else 0
         good = _tally_is(planes, lam, scope & ~same) | (same and _tally_is(planes, 0, same))
         if bad := scope & ~good:
             best = next(_bits(bad))
@@ -441,24 +438,25 @@ def _side_violation(d: Design, members, pencils, rows, nouns, classes=None) -> s
     for j, m in enumerate(members):
         if m.bit_count() != d.k:
             return f"{member} {j} is incident with {m.bit_count()} {element}s, expected k = {d.k}"
-    class_of = None
+    class_masks = None
     if classes is not None:
         if (len(classes) != d.k or any(len(c) != d.g for c in classes)
                 or _mask(x for c in classes for x in c) != (1 << len(pencils)) - 1):
             return (f"{element} classes do not split the {element}s"
                     f" into k = {d.k} classes of g = {d.g}")
         everyone = (1 << len(members)) - 1
-        class_of = [0] * len(pencils)
+        class_masks = [0] * len(pencils)
         for ci, c in enumerate(classes):
             seen = twice = 0
+            cm = _mask(c)
             for x in c:
-                class_of[x] = ci
+                class_masks[x] = cm
                 twice |= seen & pencils[x]
                 seen |= pencils[x]
             if missed := twice | everyone & ~seen:
                 j = next(_bits(missed))
                 return f"{member} {j} does not meet {element} class {ci} exactly once"
-    if hit := _pair_count_violation(rows, members, d.lam, class_of):
+    if hit := _pair_count_violation(rows, members, d.lam, class_masks):
         x, y, got, want = hit
         return f"{element} pair ({x}, {y}) shares {got} {member}s, expected {want}"
     return None
@@ -489,13 +487,9 @@ def _both_sides(d: Design, bmasks) -> list[str]:
         for x in blk:
             rows[x].append(j)
     net = isinstance(d, TransversalDesign)
-    points = _side_violation(
-        d, bmasks, pencils, rows, ("point", "block"), d.classes if net else None
-    )
-    blocks = _side_violation(
-        d, pencils, bmasks, d.blocks, ("block", "point"),
-        _parallel_classes(d, pencils) if net else None,
-    )
+    classes = (d.classes, _parallel_classes(d, pencils)) if net else (None, None)
+    points = _side_violation(d, bmasks, pencils, rows, ("point", "block"), classes[0])
+    blocks = _side_violation(d, pencils, bmasks, d.blocks, ("block", "point"), classes[1])
     if net and blocks:
         blocks = f"dual is not a transversal design: {blocks}"
     return [hit for hit in (points, blocks) if hit]

@@ -153,12 +153,11 @@ def intersection_array(g: IncidenceGraph) -> IntersectionArray | NotDistanceRegu
             if not (scope := scope & lower):
                 continue
             down, same, up = firsts[i][1]
-            good = 0
-            if len(ns) == down + same + up:
-                good = _tally_is(_tally(layers[x][i - 1] & scope for x in ns) if i else [],
-                                 down, scope)
-                if g.part is None:
-                    good = _tally_is(_tally(layers[x][i] & good for x in ns), same, good)
+            good = scope if len(ns) == down + same + up else 0
+            if i and good:
+                good = _tally_is(_tally(layers[x][i - 1] & good for x in ns), down, good)
+            if good and g.part is None:
+                good = _tally_is(_tally(layers[x][i] & good for x in ns), same, good)
             if bad := scope & ~good:
                 u = next(_bits(bad))
                 witness, lower = (u, w, i), (1 << u) - 1

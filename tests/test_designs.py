@@ -460,5 +460,7 @@ def test_pair_count_violation_matches_reference(corpus, reference_pair_count_vio
         class_of = None
     rows = [list(designs._bits(m)) for m in masks]
     members = [designs._mask(x for x, row in enumerate(rows) if j in row) for j in range(width)]
+    class_masks = class_of and [designs._mask(y for y, c in enumerate(class_of) if c == cx)
+                                for cx in class_of]
     expected = reference_pair_count_violation(masks, lam, class_of)
-    assert designs._pair_count_violation(rows, members, lam, class_of) == expected
+    assert designs._pair_count_violation(rows, members, lam, class_masks) == expected
