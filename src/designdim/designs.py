@@ -579,10 +579,14 @@ def _build_dual(d: Design) -> Design:
     pencils = pencil_masks(d)
     new_blocks = tuple(tuple(_bits(p)) for p in pencils)
     if isinstance(d, SymmetricDesign):
-        return SymmetricDesign(v=d.v, k=d.k, lam=d.lam, blocks=new_blocks)
-    return TransversalDesign(
-        g=d.g, k=d.k, lam=d.lam, classes=_parallel_classes(d, pencils), blocks=new_blocks
-    )
+        e = SymmetricDesign(v=d.v, k=d.k, lam=d.lam, blocks=new_blocks)
+    else:
+        e = TransversalDesign(
+            g=d.g, k=d.k, lam=d.lam, classes=_parallel_classes(d, pencils), blocks=new_blocks
+        )
+    # d's check ran on both of its sides, which are the two sides of e
+    _derived(e, "validation", lambda e: _derived(d, "validation", validate_design))
+    return e
 
 
 # ---------------------------------------------------------------------------

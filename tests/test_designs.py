@@ -257,6 +257,22 @@ def test_require_valid_computes_the_verdict_once(monkeypatch):
     assert len(calls) == 2
 
 
+def test_dual_takes_the_verdict_of_its_design(corpus, monkeypatch):
+    """Validating a design checks both of its sides, which are the two
+    sides of its dual: the dual is not validated again, and validating it
+    afresh agrees."""
+    calls = []
+    validate_design = designs.validate_design
+    monkeypatch.setattr(designs, "validate_design",
+                        lambda d: calls.append(d) or validate_design(d))
+    for name, d in corpus.items():
+        fresh = dataclasses.replace(d)  # a new object, with nothing kept on it
+        dd.require_valid(dd.dual(fresh))
+        assert calls == [fresh], name
+        assert validate_design(dd.dual(fresh)).ok, name
+        calls.clear()
+
+
 def test_std_header_does_not_size_an_allocation():
     tracemalloc.start()
     try:
