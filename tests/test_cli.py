@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -296,6 +297,30 @@ def test_verify_full_witness_on_a_long_path(capsys, tmp_path):
     assert (code, err) == (0, "")
     report = json.loads(out)
     assert report["verified"] is True and report["detail"] == "resolves the graph"
+
+
+def test_graph_file_verify_matches_the_design_verdict(capsys, tmp_path, small_corpus):
+    """A full witness checked against the exported graph file gets the
+    design's verdict and detail, up to naming the graph; random witnesses,
+    out-of-range indices included."""
+    rng = random.Random(11)
+    for name, d in small_corpus.items():
+        g = dd.incidence_graph(d)
+        graph_path = tmp_path / f"{name}.g"
+        graph_path.write_text(dd.to_edge_text(g))
+        witnesses = [dd.metric_dimension(g, limit=0).landmarks, range(g.n)]
+        witnesses += [
+            rng.sample(range(-1, g.n + 1), rng.randint(0, min(g.n, 8))) for _ in range(10)
+        ]
+        for indices in witnesses:
+            witness = tmp_path / "w.rs"
+            witness.write_text(dd.witness_to_text("full", indices))
+            code, out, err = _run(capsys, "verify", str(graph_path), str(witness))
+            ok, detail = dd.verify_witness(d, "full", sorted(indices))
+            report = json.loads(out)
+            assert (code, err) == (0 if ok else 1, ""), (name, indices)
+            assert report["verified"] is ok, (name, indices)
+            assert report["detail"] == detail.replace("the incidence graph", "the graph")
 
 
 def test_classify_hadamard_std(capsys, tmp_path):

@@ -285,6 +285,49 @@ def test_randomized_retries_exhausted_reports_diagnostics():
     assert info.value.best_unresolved > 0
 
 
+PIN_SEEDS = (0, 7, 2**40 + 3)
+
+
+def test_seeded_samples_are_pinned(corpus):
+    """The seeded sample stream that the random solver and the Monte Carlo
+    rate share, pinned per seed: Monte Carlo successes in 200 trials, and
+    the random solver's blocks and trials, or its RetriesExhausted trials
+    and best unresolved count, within 20 retries."""
+    successes = {
+        ("pg2", 3): (160, 153, 161),
+        ("pg3", 6): (132, 127, 130),
+        ("ba3", 4): (47, 36, 43),
+        ("hd8", 3): (158, 150, 159),
+        ("pg5", 12): (57, 55, 68),
+    }
+    for (name, s), want in successes.items():
+        got = tuple(
+            dd.monte_carlo_success(corpus[name], s, trials=200, seed=seed).successes
+            for seed in PIN_SEEDS
+        )
+        assert got == want, (name, s)
+    sampled = {
+        ("pg3", 4): [(None, 20, 3)] * 3,
+        ("pg5", 10): [(None, 20, 2)] * 3,
+        ("ba3", 4): [((3, 4, 7, 8), 5), ((0, 2, 3, 5), 2), ((0, 1, 6, 8), 6)],
+        ("hd8", 3): [((1, 3, 6), 1), ((3, 5, 6), 2), ((1, 2, 3), 1)],
+        ("pg5", 14): [
+            ((6, 8, 12, 13, 14, 15, 20, 21, 22, 23, 25, 26, 27, 30), 1),
+            ((2, 3, 5, 6, 7, 10, 11, 12, 13, 19, 22, 26, 29, 30), 1),
+            ((0, 1, 2, 4, 6, 7, 9, 11, 13, 18, 22, 23, 24, 30), 1),
+        ],
+    }
+    for (name, s), want in sampled.items():
+        got = []
+        for seed in PIN_SEEDS:
+            try:
+                res = dd.randomized_semi_resolving(corpus[name], s=s, seed=seed, max_retries=20)
+                got.append((res.blocks, res.trials))
+            except dd.RetriesExhausted as exc:
+                got.append((None, exc.trials, exc.best_unresolved))
+        assert got == want, (name, s)
+
+
 def test_markov_style_success_frequency(fano):
     """With E = 3/5 at s = 3, at least a 2/5 fraction of samples succeed."""
     exact = dd.exhaustive_success_rate(fano, 3)
