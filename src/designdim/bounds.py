@@ -30,13 +30,7 @@ from math import comb
 
 from .designs import Design, SymmetricDesign, _mask, pencil_masks, projective_plane
 from .fields import prime_power
-from .resolve import (
-    _sample_bound,
-    _signature_collision,
-    sample_without_replacement,
-    separator_masks,
-    trial_rng,
-)
+from .resolve import _sample_bound, _seeded_samples, _signature_collision, separator_masks
 
 DECIMAL_PRECISION = 50  # digits; >= 80 effective bits with margin to spare
 MARGINAL_SLACK = 1e-9
@@ -260,11 +254,10 @@ def monte_carlo_success(
     if not 0 <= s <= v:
         raise ValueError(f"s = {s} outside 0..{v}")
     masks = pencil_masks(d)
-    successes = 0
-    for trial in range(1, trials + 1):
-        chosen = sample_without_replacement(v, s, trial_rng(seed, trial))
-        if _signature_collision(masks, _mask(chosen)) is None:
-            successes += 1
+    successes = sum(
+        _signature_collision(masks, smask) is None
+        for smask in _seeded_samples(v, s, seed, trials)
+    )
     rate = successes / trials
     stderr = math.sqrt(rate * (1.0 - rate) / trials)
     markov = max(0.0, float(1 - design_expected_unresolved(d, s)))

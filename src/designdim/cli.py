@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import sys
@@ -136,26 +137,29 @@ def _cmd_resolve(args) -> int:
         method=args.method, s=args.s, seed=args.seed, max_retries=args.retries,
         budget=args.budget, limit=args.limit,
     )
-    if args.target in ("semi-points", "semi-blocks"):
-        role = args.target
-        indices, trials = resolve.semi_resolving_set(
-            d if role == "semi-points" else designs.dual(d), **solver
-        )
-        extra = {"bound_s": bound, "trials": trials}
-    elif args.target == "split":
-        split = resolve.split_resolving(d, **solver)
-        role, indices = "split", split.graph_vertices(d.point_count)
-        extra = {
-            "points": list(split.points),
-            "blocks": list(split.blocks),
-            "bound_total": None if bound is None else 2 * bound,
-        }
-    else:  # full-mdim
-        graph = incidence.incidence_graph(d)
-        limit = args.limit if args.method == "exact" else 0
-        result = resolve.metric_dimension(graph, limit=limit, budget=args.budget)
-        role, indices = "full", result.landmarks
-        extra = {"mu_lower": result.lower, "mu_upper": result.upper, "optimal": result.optimal}
+    try:  # d is valid: a solver's ValueError names an option d does not support
+        if args.target in ("semi-points", "semi-blocks"):
+            role = args.target
+            indices, trials = resolve.semi_resolving_set(
+                d if role == "semi-points" else designs.dual(d), **solver
+            )
+            extra = {"bound_s": bound, "trials": trials}
+        elif args.target == "split":
+            split = resolve.split_resolving(d, **solver)
+            role, indices = "split", split.graph_vertices(d.point_count)
+            extra = {
+                "points": list(split.points),
+                "blocks": list(split.blocks),
+                "bound_total": None if bound is None else 2 * bound,
+            }
+        else:  # full-mdim
+            graph = incidence.incidence_graph(d)
+            limit = args.limit if args.method == "exact" else 0
+            result = resolve.metric_dimension(graph, limit=limit, budget=args.budget)
+            role, indices = "full", result.landmarks
+            extra = {"mu_lower": result.lower, "mu_upper": result.upper, "optimal": result.optimal}
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     ok, detail = resolve.verify_witness(d, role, indices)
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:
@@ -193,9 +197,12 @@ def _chain_payload(report) -> dict:
 
 def _cmd_bounds(args) -> int:
     if args.sweep:
-        rows = bounds_mod.projective_plane_sweep(
-            args.qmax, mc_trials=args.mc_trials, seed=args.seed
-        )
+        try:
+            rows = bounds_mod.projective_plane_sweep(
+                args.qmax, mc_trials=args.mc_trials, seed=args.seed
+            )
+        except ValueError as exc:  # a Monte Carlo trial count it does not admit
+            raise UsageError(str(exc)) from None
         buf = io.StringIO()
         buf.write(
             f"# designdim {__version__} sweep={args.sweep} qmax={args.qmax} "
@@ -251,21 +258,9 @@ def _cmd_bounds(args) -> int:
 def _cmd_verify(args) -> int:
     subject = _load(args.design, graphs=True)
     role, indices = _read(args.witness, resolve.witness_from_text)
-    if isinstance(subject, incidence.IncidenceGraph):
-        # no block structure available: only the distance route applies
-        if role != "full":
-            raise UsageError(f"graph files support only role 'full', not {role!r}")
-        if any(not 0 <= u < subject.n for u in indices):
-            ok, detail = False, "vertex index out of range"
-        else:
-            witness = resolve.resolving_witness(subject, indices)
-            ok = witness is None
-            detail = (
-                "resolves the graph" if ok
-                else f"vertices {witness} have equal distance vectors"
-            )
-    else:
-        ok, detail = resolve.verify_witness(subject, role, indices)
+    if isinstance(subject, incidence.IncidenceGraph) and role != "full":
+        raise UsageError(f"graph files support only role 'full', not {role!r}")
+    ok, detail = resolve.verify_witness(subject, role, indices)
     body = {"role": role, "indices": list(indices), "verified": ok, "detail": detail}
     _print_json(_report(args, body))
     return EXIT_OK if ok else EXIT_FAIL
@@ -305,6 +300,7 @@ def _cmd_classify(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="designdim",

@@ -15,9 +15,11 @@ the elements its earlier siblings took, so every candidate set is searched
 once rather than once per order in which the pivots reach it.
 
 Point pairs x < y are taken y-major (by y, then by x); reported witnesses
-are the first pair in that order.  All randomness comes from 64-bit seeds
-expanded per trial with a splitmix-style mixer, so runs are reproducible
-and independent of PYTHONHASHSEED.
+are the first pair in that order.  All randomness is one seeded sample
+stream, shared by the random solver and the Monte Carlo rate in bounds:
+trial t of a 64-bit seed expands (seed, t) with a splitmix-style mixer, so
+runs are reproducible and independent of PYTHONHASHSEED.  verify_witness
+checks every witness, on a design or on a graph read from an edge list.
 """
 
 from __future__ import annotations
@@ -176,28 +178,20 @@ def clamped_sample_size(d: Design) -> int:
 _MASK64 = (1 << 64) - 1
 
 
-def _mix64(x: int) -> int:
-    x &= _MASK64
-    x ^= x >> 30
-    x = (x * 0xBF58476D1CE4E5B9) & _MASK64
-    x ^= x >> 27
-    x = (x * 0x94D049BB133111EB) & _MASK64
-    x ^= x >> 31
-    return x
-
-
-def trial_rng(seed: int, trial: int) -> random.Random:
-    """Deterministic generator for the given (seed, trial) pair."""
-    return random.Random(_mix64((seed * 0x9E3779B97F4A7C15 + trial) & _MASK64))
-
-
-def sample_without_replacement(n: int, s: int, rng: random.Random) -> list[int]:
-    """Partial Fisher-Yates draw of s distinct values from range(n)."""
-    idx = list(range(n))
-    for i in range(s):
-        j = rng.randrange(i, n)
-        idx[i], idx[j] = idx[j], idx[i]
-    return idx[:s]
+def _seeded_samples(n: int, s: int, seed: int, trials: int):
+    """The one seeded sample stream: for trial t = 1..trials, the bitset of
+    s distinct values of range(n), drawn by a partial Fisher-Yates shuffle
+    from a generator seeded with the splitmix64 finalizer of (seed, t)."""
+    for trial in range(1, trials + 1):
+        x = (seed * 0x9E3779B97F4A7C15 + trial) & _MASK64
+        x = (x ^ x >> 30) * 0xBF58476D1CE4E5B9 & _MASK64
+        x = (x ^ x >> 27) * 0x94D049BB133111EB & _MASK64
+        rng = random.Random(x ^ x >> 31)
+        idx = list(range(n))
+        for i in range(s):
+            j = rng.randrange(i, n)
+            idx[i], idx[j] = idx[j], idx[i]
+        yield _mask(idx[:s])
 
 
 # ---------------------------------------------------------------------------
@@ -216,8 +210,8 @@ def randomized_semi_resolving(
     d: Design, s: int | None = None, seed: int = 0, max_retries: int = 100
 ) -> SampledSemiResolvingSet:
     """Repeatedly draw a uniform s-subset of blocks until one semi-resolves
-    the points; s defaults to clamped_sample_size(d).  Trial t uses the
-    stream derived from (seed, t)."""
+    the points; s defaults to clamped_sample_size(d).  Trial t takes the
+    t-th sample of the seeded stream."""
     require_valid(d)
     v = d.v
     if s is None:
@@ -227,17 +221,14 @@ def randomized_semi_resolving(
     if max_retries < 1:
         raise ValueError(f"max_retries = {max_retries} must be positive")
     masks = pencil_masks(d)
-    best_unresolved = None
-    for trial in range(1, max_retries + 1):
-        rng = trial_rng(seed, trial)
-        chosen = sample_without_replacement(v, s, rng)
-        unresolved = _unresolved_count(masks, _mask(chosen))
+    best_unresolved = math.inf
+    for trial, smask in enumerate(_seeded_samples(v, s, seed, max_retries), 1):
+        unresolved = _unresolved_count(masks, smask)
         if unresolved == 0:
             return SampledSemiResolvingSet(
-                blocks=tuple(sorted(chosen)), trials=trial, sample_size=s, seed=seed
+                blocks=tuple(_bits(smask)), trials=trial, sample_size=s, seed=seed
             )
-        if best_unresolved is None or unresolved < best_unresolved:
-            best_unresolved = unresolved
+        best_unresolved = min(best_unresolved, unresolved)
     raise RetriesExhausted(trials=max_retries, best_unresolved=best_unresolved)
 
 
@@ -598,12 +589,26 @@ def witness_from_text(text: str) -> tuple[str, tuple[int, ...]]:
     return head[1], indices
 
 
-def verify_witness(d: Design, role: str, indices) -> tuple[bool, str]:
+def verify_witness(subject: Design | IncidenceGraph, role: str, indices) -> tuple[bool, str]:
     """Recheck a witness by both the symmetric-difference route and the
     distance route where applicable.  Returns (ok, detail).  Both routes
-    use d's one dual and one incidence graph."""
-    graph = incidence_graph(d)  # validates d
-    v = d.point_count
+    use a design's one dual and one incidence graph.  An incidence graph
+    (read from an edge list) has no block structure: it takes role "full"
+    only, checked by the distance route, and any other role raises
+    ValueError."""
+    if isinstance(subject, IncidenceGraph):
+        if role != "full":
+            raise ValueError(f"an incidence graph takes only role 'full', not {role!r}")
+        graph, v, name = subject, 0, "the graph"  # v sizes only the semi roles
+    else:
+        graph, v, name = incidence_graph(subject), subject.point_count, "the incidence graph"
+    if role not in WITNESS_ROLES:
+        raise ValueError(f"unknown witness role {role!r}")
+    kind, size = {"semi-points": ("block", graph.n - v), "semi-blocks": ("point", v)}.get(
+        role, ("vertex", graph.n)
+    )
+    if any(not 0 <= i < size for i in indices):
+        return False, f"{kind} index out of range"
 
     def check_semi(design, blocks, landmark_vertices, side_vertices):
         w_mask = semi_resolving_witness(design, blocks)
@@ -618,29 +623,19 @@ def verify_witness(d: Design, role: str, indices) -> tuple[bool, str]:
         return True, "separates all pairs by both routes"
 
     if role == "semi-points":
-        if any(not 0 <= b < len(d.blocks) for b in indices):
-            return False, "block index out of range"
-        return check_semi(d, indices, [v + b for b in indices], range(v))
+        return check_semi(subject, indices, [v + b for b in indices], range(v))
     if role == "semi-blocks":
-        if any(not 0 <= x < v for x in indices):
-            return False, "point index out of range"
-        return check_semi(dual(d), indices, list(indices), range(v, graph.n))
-    if role in ("split", "full"):
-        if any(not 0 <= u < graph.n for u in indices):
-            return False, "vertex index out of range"
-        if role == "split":
-            points = [u for u in indices if u < v]
-            blocks = [u - v for u in indices if u >= v]
-            ok_b, detail_b = check_semi(d, blocks, [v + b for b in blocks], range(v))
-            if not ok_b:
-                return False, f"block side: {detail_b}"
-            ok_p, detail_p = check_semi(
-                dual(d), points, list(points), range(v, graph.n)
-            )
-            if not ok_p:
-                return False, f"point side: {detail_p}"
-        w = resolving_witness(graph, indices)
-        if w is not None:
-            return False, f"vertices {w} have equal distance vectors"
-        return True, "resolves the incidence graph"
-    raise ValueError(f"unknown witness role {role!r}")
+        return check_semi(dual(subject), indices, list(indices), range(v, graph.n))
+    if role == "split":
+        points = [u for u in indices if u < v]
+        blocks = [u - v for u in indices if u >= v]
+        ok_b, detail_b = check_semi(subject, blocks, [v + b for b in blocks], range(v))
+        if not ok_b:
+            return False, f"block side: {detail_b}"
+        ok_p, detail_p = check_semi(dual(subject), points, points, range(v, graph.n))
+        if not ok_p:
+            return False, f"point side: {detail_p}"
+    w = resolving_witness(graph, indices)
+    if w is not None:
+        return False, f"vertices {w} have equal distance vectors"
+    return True, f"resolves {name}"

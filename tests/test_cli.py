@@ -370,6 +370,28 @@ def test_design_file_exit_codes(capsys, tmp_path, command, text, want):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, want, err", [
+    (["resolve", "FANO", "--method", "random", "--s", "99"], 2, "sample size 99 outside 1..7"),
+    (["resolve", "FANO", "--method", "random", "--target", "split", "--s", "99"], 2,
+     "sample size 99 outside 1..7"),
+    (["resolve", "FANO", "--method", "random", "--retries", "0"], 2,
+     "max_retries = 0 must be positive"),
+    (["resolve", "FANO", "--method", "exact", "--limit", "5"], 2,
+     "7 points exceeds the exact-solver limit 5"),
+    (["bounds", "--sweep", "pg", "--mc-trials", "-1"], 2, "trials = -1 must be positive"),
+    (["bounds", "--design", "FANO", "--s", "100"], 2, "s = 100 outside 0..7"),
+    (["resolve", "FANO", "--method", "random", "--s", "1", "--retries", "3"], 1,
+     "no semi-resolving sample in 3 trials (best trial left 9 pairs unresolved)"),
+    (["resolve", "FANO", "--method", "exact", "--budget", "1"], 1, "node budget 1 exceeded"),
+], ids=["s", "split-s", "retries", "limit", "mc-trials", "bounds-s", "exhausted", "budget"])
+def test_option_exit_codes(capsys, tmp_path, argv, want, err):
+    """Options the valid input does not support exit 2; a solver that gives
+    up exits 1."""
+    fano = _construct(capsys, tmp_path, "pg", 2, "fano.sd")
+    argv = [str(fano) if a == "FANO" else a for a in argv]
+    assert _run(capsys, *argv) == (want, "", err + "\n")
+
+
 @pytest.mark.parametrize("command", ["classify", "export", "resolve", "bounds"])
 def test_graph_file_given_to_a_design_command_exits_two(capsys, tmp_path, command):
     fano = _construct(capsys, tmp_path, "pg", 2, "fano.sd")

@@ -838,6 +838,15 @@ def test_witness_text_rejects_garbage():
         dd.witness_to_text("partial", (1,))
 
 
+def test_verify_witness_on_a_graph_takes_only_full(fano):
+    g = dd.from_edge_text(dd.to_edge_text(dd.incidence_graph(fano)))
+    assert dd.verify_witness(g, "full", range(g.n)) == (True, "resolves the graph")
+    assert dd.verify_witness(g, "full", (0, g.n)) == (False, "vertex index out of range")
+    for role in ("semi-points", "semi-blocks", "split"):
+        with pytest.raises(ValueError, match="only role 'full'"):
+            dd.verify_witness(g, role, (0,))
+
+
 def test_verify_witness_roles(fano):
     best = dd.min_semi_resolving(fano)
     ok, _ = dd.verify_witness(fano, "semi-points", best)
