@@ -392,6 +392,43 @@ def test_option_exit_codes(capsys, tmp_path, argv, want, err):
     assert _run(capsys, *argv) == (want, "", err + "\n")
 
 
+INVALID = "design does not validate: class size g = 1 must be at least 2"
+
+
+@pytest.mark.parametrize("argv, want, err", [
+    (["classify", "STD1"], 1, INVALID),
+    (["export", "STD1"], 1, INVALID),
+    (["resolve", "STD1"], 1, INVALID),
+    (["verify", "STD1", "SEMI"], 1, INVALID),
+    (["bounds", "--design", "STD1", "--s", "1"], 1, INVALID),
+    (["classify", "NONE"], 2, "cannot read NONE: [Errno 2] No such file or directory: 'NONE'"),
+    (["classify", "ASCII"], 2,
+     "'ascii' codec can't decode byte 0xc3 in position 9: ordinal not in range(128)"),
+    (["construct", "pg", "6", "-o", "OUT"], 2, "6 is not a prime power"),
+    (["construct", "pg", "x", "-o", "OUT"], 2, "invalid literal for int() with base 10: 'x'"),
+    (["classify", "GRAPH"], 2, "GRAPH is a graph file, which only verify reads"),
+    (["verify", "GRAPH", "SEMI"], 2, "graph files support only role 'full', not 'semi-points'"),
+], ids=[
+    "classify-invalid", "export-invalid", "resolve-invalid", "verify-invalid", "bounds-invalid",
+    "missing", "non-ascii", "constructor", "constructor-int", "graph-design", "graph-semi",
+])
+def test_error_paths_exit_with_one_line(capsys, tmp_path, argv, want, err):
+    """An input that parses but fails validation exits 1; one that cannot
+    be read or parsed, or is the wrong kind of file, exits 2.  Either way
+    stdout is empty and stderr holds one line."""
+    fano = _construct(capsys, tmp_path, "pg", 2, "fano.sd")
+    files = {name: tmp_path / name for name in ("STD1", "SEMI", "NONE", "ASCII", "OUT", "GRAPH")}
+    files["STD1"].write_text("STD 1 1 1\n0\n0\n")
+    files["SEMI"].write_text("RS semi-points\n0 1 2\n")
+    files["ASCII"].write_bytes(b"SD 7 3 1\n\xc3\xa9\n")
+    assert _run(capsys, "export", str(fano), "-o", str(files["GRAPH"]))[0] == 0
+    argv = [str(files.get(a, a)) for a in argv]
+    for name, path in files.items():
+        err = err.replace(name, str(path))
+    assert _run(capsys, *argv) == (want, "", err + "\n")
+    assert not files["OUT"].exists()
+
+
 @pytest.mark.parametrize("command", ["classify", "export", "resolve", "bounds"])
 def test_graph_file_given_to_a_design_command_exits_two(capsys, tmp_path, command):
     fano = _construct(capsys, tmp_path, "pg", 2, "fano.sd")

@@ -3,6 +3,7 @@ ValueError only, and what the writers emit reads back unchanged."""
 
 import dataclasses
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -85,3 +86,39 @@ def test_edge_text_round_trips_random_connected_graphs(g):
     h = dd.from_edge_text(dd.to_edge_text(g))
     assert h.adj == g.adj
     assert h.point_count == g.point_count
+
+
+FANO_BODY = "0 1 2\n0 3 4\n0 5 6\n1 3 5\n1 4 6\n2 3 6\n2 4 5\n"
+
+
+@pytest.mark.parametrize("parse, text, message", [
+    (dd.from_text, "SD 7 x 1\n" + FANO_BODY, "bad header line: 'SD 7 x 1'"),
+    (dd.from_text, "SD 7 3\n" + FANO_BODY, "bad header line: 'SD 7 3'"),
+    (dd.from_text, "SD 7 3 1 0\n" + FANO_BODY, "bad header line: 'SD 7 3 1 0'"),
+    (dd.from_text, "XD 7 3 1\n" + FANO_BODY, "bad header line: 'XD 7 3 1'"),
+    (dd.from_text, "7 7 3 1\n" + FANO_BODY, "bad header line: '7 7 3 1'"),
+    (dd.from_text, "SD 7 3 1\n0 1 x\n", "bad index line: '0 1 x'"),
+    (dd.from_text, "STD 2 2 1\n0 1\n2 y\n", "bad index line: '2 y'"),
+    (dd.from_text, "# nothing\n\n", "empty design file"),
+    (dd.from_edge_text, "G 2 x 1\n0 1\n", "bad header line: 'G 2 x 1'"),
+    (dd.from_edge_text, "G 2 1\n0 1\n", "bad header line: 'G 2 1'"),
+    (dd.from_edge_text, "H 2 1 1\n0 1\n", "missing `G n m bipartition_size` header"),
+    (dd.from_edge_text, "G 3 2 1\n0 1 2\n0 2\n", "bad edge line: '0 1 2'"),
+    (dd.from_edge_text, "G 3 2 1\n0 1\n0 z\n", "bad edge line: '0 z'"),
+    (dd.witness_from_text, "RS full\n0 1 x\n", "bad witness index line: '0 1 x'"),
+    (dd.witness_from_text, "RS full\n1.5\n", "bad witness index line: '1.5'"),
+    (dd.witness_from_text, "RS nope\n0\n", "bad witness header: 'RS nope'"),
+], ids=[
+    "sd-token", "sd-short", "sd-long", "sd-tag", "sd-int-tag", "sd-row", "std-row", "sd-empty",
+    "g-token", "g-short", "g-tag", "g-3-tokens", "g-edge-token", "rs-token", "rs-float", "rs-head",
+])
+def test_parser_messages(parse, text, message):
+    with pytest.raises(ValueError) as info:
+        parse(text)
+    assert str(info.value) == message
+
+
+def test_tab_separated_header_parses(fano):
+    text = dd.to_text(fano).replace(" ", "\t", 3)
+    assert text.startswith("SD\t7\t3\t1\n")
+    assert dd.from_text(text) == fano
