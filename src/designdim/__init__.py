@@ -9,6 +9,7 @@ from .designs import (
     ConstructionError,
     Design,
     HadamardMatrix,
+    InvalidDesign,
     SymmetricDesign,
     TransversalDesign,
     ValidationReport,

@@ -312,6 +312,8 @@ SWEEP_COLUMNS = (
 def projective_plane_sweep(qmax: int, mc_trials: int = 0, seed: int = 0):
     """One row per prime power q <= qmax with projective-plane parameters
     (q^2+q+1, q+1, 1), sorted by q."""
+    if qmax < 2:
+        raise ValueError(f"qmax = {qmax} must be at least 2")
     rows = []
     for q in range(2, qmax + 1):
         if prime_power(q) is None:

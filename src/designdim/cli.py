@@ -1,16 +1,15 @@
 """Command-line frontend.
 
 Commands: construct, resolve, bounds, verify, export, classify.
-Exit codes: 0 success; 1 when a parsed input fails validation (degenerate
-parameters included) or the computation fails (a witness is rejected, a
-solver gives up); 2 when the command line or an input file cannot be
-parsed (a graph file that is not connected included), a named file cannot
-be read or written, or the options ask for something the input does not
-support.  main()
-applies this rule in one place.  Every exit 1 or 2 prints one line on
-stderr, except a rejected witness, which `resolve` and `verify` report in
-their JSON.  Randomized commands always run from an explicit seed
-(default 0) and identical configurations produce byte-identical reports.
+Exit codes: 0 success; 1 for a design that fails validation (InvalidDesign)
+or a solver that gives up (RetriesExhausted, BudgetExceeded); 2 for any
+other ValueError or OSError: a command line, option or input file that
+cannot be parsed or is not supported, or a file that cannot be read or
+written.  main() alone maps an exception to its exit code, by its type, and
+prints it as one line on stderr.  A rejected witness exits 1 too, reported
+in the JSON of `resolve` and `verify`.  Randomized commands always run from
+an explicit seed (default 0) and identical configurations produce
+byte-identical reports.
 """
 
 from __future__ import annotations
@@ -30,11 +29,6 @@ from . import designs, incidence, resolve
 EXIT_OK, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
 
 
-class UsageError(Exception):
-    """The command line or an input file cannot be parsed (exit 2); a
-    ValueError out of a command is a failure (exit 1)."""
-
-
 def _print_json(payload: dict) -> None:
     print(json.dumps(payload, sort_keys=True, indent=2))
 
@@ -52,15 +46,13 @@ def _report(args, body: dict) -> dict:
 
 
 def _read(path: str, parse):
-    """parse(text) for the text of a file; a file that cannot be read or
-    parsed is a usage error."""
+    """parse(text) for the ASCII text of a file, naming a file that cannot
+    be read."""
     try:
         with open(path, "r", encoding="ascii") as fh:
             return parse(fh.read())
     except OSError as exc:
-        raise UsageError(f"cannot read {path}: {exc}") from None
-    except ValueError as exc:  # UnicodeDecodeError included
-        raise UsageError(str(exc)) from None
+        raise OSError(f"cannot read {path}: {exc}") from None
 
 
 def _load(path: str, graphs: bool = False):
@@ -71,7 +63,7 @@ def _load(path: str, graphs: bool = False):
         if not (lines and lines[0].startswith("G ")):
             return designs.from_text(text)
         if not graphs:
-            raise UsageError(f"{path} is a graph file, which only verify reads")
+            raise ValueError(f"{path} is a graph file, which only verify reads")
         return incidence.from_edge_text(text)
 
     return _read(path, parse)
@@ -98,10 +90,7 @@ _CONSTRUCTORS = {
 
 
 def _cmd_construct(args) -> int:
-    try:
-        d = _CONSTRUCTORS[args.constructor](args.parameter)
-    except ValueError as exc:  # ConstructionError included
-        raise UsageError(str(exc)) from None
+    d = _CONSTRUCTORS[args.constructor](args.parameter)
     report = designs.validate_design(d)
     with open(args.out, "w", encoding="ascii") as fh:
         fh.write(designs.to_text(d))
@@ -129,7 +118,7 @@ def _resolve_bound(d) -> int | None:
 
 def _cmd_resolve(args) -> int:
     if args.target == "full-mdim" and args.method == "random":
-        raise UsageError("full-mdim supports methods exact and greedy only")
+        raise ValueError("full-mdim supports methods exact and greedy only")
     d = _load(args.design)
     designs.require_valid(d)
     bound = _resolve_bound(d)
@@ -137,29 +126,26 @@ def _cmd_resolve(args) -> int:
         method=args.method, s=args.s, seed=args.seed, max_retries=args.retries,
         budget=args.budget, limit=args.limit,
     )
-    try:  # d is valid: a solver's ValueError names an option d does not support
-        if args.target in ("semi-points", "semi-blocks"):
-            role = args.target
-            indices, trials = resolve.semi_resolving_set(
-                d if role == "semi-points" else designs.dual(d), **solver
-            )
-            extra = {"bound_s": bound, "trials": trials}
-        elif args.target == "split":
-            split = resolve.split_resolving(d, **solver)
-            role, indices = "split", split.graph_vertices(d.point_count)
-            extra = {
-                "points": list(split.points),
-                "blocks": list(split.blocks),
-                "bound_total": None if bound is None else 2 * bound,
-            }
-        else:  # full-mdim
-            graph = incidence.incidence_graph(d)
-            limit = args.limit if args.method == "exact" else 0
-            result = resolve.metric_dimension(graph, limit=limit, budget=args.budget)
-            role, indices = "full", result.landmarks
-            extra = {"mu_lower": result.lower, "mu_upper": result.upper, "optimal": result.optimal}
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    if args.target in ("semi-points", "semi-blocks"):
+        role = args.target
+        indices, trials = resolve.semi_resolving_set(
+            d if role == "semi-points" else designs.dual(d), **solver
+        )
+        extra = {"bound_s": bound, "trials": trials}
+    elif args.target == "split":
+        split = resolve.split_resolving(d, **solver)
+        role, indices = "split", split.graph_vertices(d.point_count)
+        extra = {
+            "points": list(split.points),
+            "blocks": list(split.blocks),
+            "bound_total": None if bound is None else 2 * bound,
+        }
+    else:  # full-mdim
+        graph = incidence.incidence_graph(d)
+        limit = args.limit if args.method == "exact" else 0
+        result = resolve.metric_dimension(graph, limit=limit, budget=args.budget)
+        role, indices = "full", result.landmarks
+        extra = {"mu_lower": result.lower, "mu_upper": result.upper, "optimal": result.optimal}
     ok, detail = resolve.verify_witness(d, role, indices)
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:
@@ -197,12 +183,9 @@ def _chain_payload(report) -> dict:
 
 def _cmd_bounds(args) -> int:
     if args.sweep:
-        try:
-            rows = bounds_mod.projective_plane_sweep(
-                args.qmax, mc_trials=args.mc_trials, seed=args.seed
-            )
-        except ValueError as exc:  # a Monte Carlo trial count it does not admit
-            raise UsageError(str(exc)) from None
+        rows = bounds_mod.projective_plane_sweep(
+            args.qmax, mc_trials=args.mc_trials, seed=args.seed
+        )
         buf = io.StringIO()
         buf.write(
             f"# designdim {__version__} sweep={args.sweep} qmax={args.qmax} "
@@ -217,36 +200,30 @@ def _cmd_bounds(args) -> int:
     if args.design:
         d = _load(args.design)
         designs.require_valid(d)
-    elif args.v is None or args.m is None or args.s is None:
-        raise UsageError("give --v, --m and --s (or --design)")
-    try:
-        if args.design:
-            v = d.v
-            m = 2 * (d.k - d.lam)
-            s = args.s
-            if s is None:
-                if not args.bound_s:
-                    raise UsageError("give --s or --bound-s with --design")
-                s = resolve.semi_resolving_sample_size(d)
-            expected = bounds_mod.design_expected_unresolved(d, s)
-            body = {
-                "design": _design_summary(d),
-                "s": s,
-                "E_num": expected.numerator,
-                "E_den": expected.denominator,
-                "E_float": float(expected),
-            }
-            if isinstance(d, designs.SymmetricDesign):
-                body["chain"] = _chain_payload(bounds_mod.inequality_chain(v, m, s))
-            else:
-                upper = bounds_mod.expected_unresolved_std(d.g, d.k, d.lam, s)[1]
-                body["E_upper_num"] = upper.numerator
-                body["E_upper_den"] = upper.denominator
+        s = args.s
+        if s is None:
+            if not args.bound_s:
+                raise ValueError("give --s or --bound-s with --design")
+            s = resolve.semi_resolving_sample_size(d)
+        expected = bounds_mod.design_expected_unresolved(d, s)
+        body = {
+            "design": _design_summary(d),
+            "s": s,
+            "E_num": expected.numerator,
+            "E_den": expected.denominator,
+            "E_float": float(expected),
+        }
+        if isinstance(d, designs.SymmetricDesign):
+            chain = bounds_mod.inequality_chain(d.v, 2 * (d.k - d.lam), s)
+            body["chain"] = _chain_payload(chain)
         else:
-            body = _chain_payload(bounds_mod.inequality_chain(args.v, args.m, args.s))
-    except ValueError as exc:
-        # a sample size or chain the given parameters do not admit
-        raise UsageError(str(exc)) from None
+            upper = bounds_mod.expected_unresolved_std(d.g, d.k, d.lam, s)[1]
+            body["E_upper_num"] = upper.numerator
+            body["E_upper_den"] = upper.denominator
+    elif args.v is None or args.m is None or args.s is None:
+        raise ValueError("give --v, --m and --s (or --design)")
+    else:
+        body = _chain_payload(bounds_mod.inequality_chain(args.v, args.m, args.s))
     _print_json(_report(args, body))
     return EXIT_OK
 
@@ -258,8 +235,6 @@ def _cmd_bounds(args) -> int:
 def _cmd_verify(args) -> int:
     subject = _load(args.design, graphs=True)
     role, indices = _read(args.witness, resolve.witness_from_text)
-    if isinstance(subject, incidence.IncidenceGraph) and role != "full":
-        raise UsageError(f"graph files support only role 'full', not {role!r}")
     ok, detail = resolve.verify_witness(subject, role, indices)
     body = {"role": role, "indices": list(indices), "verified": ok, "detail": detail}
     _print_json(_report(args, body))
@@ -367,12 +342,12 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, OSError) as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, resolve.RetriesExhausted, resolve.BudgetExceeded) as exc:
-        print(str(exc), file=sys.stderr)
+    except (designs.InvalidDesign, resolve.RetriesExhausted, resolve.BudgetExceeded) as exc:
+        print(exc, file=sys.stderr)
         return EXIT_FAIL
+    except (ValueError, OSError) as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

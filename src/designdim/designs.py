@@ -42,6 +42,10 @@ class ConstructionError(ValueError):
     """A requested structure cannot be built from the given parameters."""
 
 
+class InvalidDesign(ValueError):
+    """A design that parsed or was built fails validation."""
+
+
 @dataclass(frozen=True)
 class SymmetricDesign:
     v: int
@@ -119,11 +123,11 @@ def _derived(d: Design, name: str, compute):
 
 
 def require_valid(d: Design) -> None:
-    """Raise ValueError naming the first violated axiom unless d validates.
-    The verdict is computed once per design object."""
+    """Raise InvalidDesign naming the first violated axiom unless d
+    validates.  The verdict is computed once per design object."""
     report = _derived(d, "validation", validate_design)
     if not report.ok:
-        raise ValueError(f"design does not validate: {report.violations[0]}")
+        raise InvalidDesign(f"design does not validate: {report.violations[0]}")
 
 
 # ---------------------------------------------------------------------------
@@ -604,6 +608,20 @@ def content_lines(text: str) -> list[str]:
     return [ln for ln in map(str.strip, text.splitlines()) if ln and not ln.startswith("#")]
 
 
+def int_line(line: str, what: str, width: int | None = None, skip: int = 0) -> tuple[int, ...]:
+    """The integers of line after its first skip tokens: the one reader of
+    every integer line of the text formats.  Raises ValueError
+    `bad <what> line: ...` unless every such token is an integer and, with
+    width given, the line has width tokens in all."""
+    toks = line.split()
+    try:
+        if width is not None and len(toks) != width:
+            raise ValueError
+        return tuple(map(int, toks[skip:]))
+    except ValueError:
+        raise ValueError(f"bad {what} line: {line!r}") from None
+
+
 def to_text(d: Design) -> str:
     lines = []
     if isinstance(d, SymmetricDesign):
@@ -621,36 +639,17 @@ def from_text(text: str) -> Design:
     lines = content_lines(text)
     if not lines:
         raise ValueError("empty design file")
-    head = lines[0].split()
-    if len(head) != 4 or head[0] not in ("SD", "STD"):
-        raise ValueError(f"bad header line: {lines[0]!r}")
-    try:
-        a, b, c = int(head[1]), int(head[2]), int(head[3])
-    except ValueError:
-        raise ValueError(f"bad header line: {lines[0]!r}") from None
-
-    def parse_rows(rows):
-        out = []
-        for ln in rows:
-            try:
-                out.append(tuple(int(tok) for tok in ln.split()))
-            except ValueError:
-                raise ValueError(f"bad index line: {ln!r}") from None
-        return tuple(out)
-
-    if head[0] == "SD":
-        v, k, lam = a, b, c
-        body = parse_rows(lines[1:])
-        if len(body) != v:
-            raise ValueError(f"expected {v} block lines, found {len(body)}")
-        return SymmetricDesign(v=v, k=k, lam=lam, blocks=body)
-    g, k, lam = a, b, c
-    n_blocks = lam * g * g
-    body = parse_rows(lines[1:])
+    tag = lines[0].split()[0]
+    # no content line has 0 tokens, so an unknown tag makes a bad header line
+    n, k, lam = int_line(lines[0], "header", 4 if tag in ("SD", "STD") else 0, skip=1)
+    body = tuple(int_line(ln, "index") for ln in lines[1:])
+    if tag == "SD":
+        if len(body) != n:
+            raise ValueError(f"expected {n} block lines, found {len(body)}")
+        return SymmetricDesign(v=n, k=k, lam=lam, blocks=body)
+    n_blocks = lam * n * n
     if len(body) != k + n_blocks:
         raise ValueError(
             f"expected {k} class lines and {n_blocks} block lines, found {len(body)}"
         )
-    return TransversalDesign(
-        g=g, k=k, lam=lam, classes=body[:k], blocks=body[k:]
-    )
+    return TransversalDesign(g=n, k=k, lam=lam, classes=body[:k], blocks=body[k:])

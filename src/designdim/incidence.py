@@ -13,7 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .designs import Design, _bits, _derived, _tally, _tally_is, content_lines, require_valid
+from .designs import (
+    Design, _bits, _derived, _tally, _tally_is, content_lines, int_line, require_valid,
+)
 
 
 class IncidenceGraph:
@@ -74,7 +76,7 @@ class IncidenceGraph:
 
 def incidence_graph(d: Design) -> IncidenceGraph:
     """The incidence graph of a valid design: points 0..v-1, blocks
-    v..2v-1.  Raises ValueError when d does not validate; the graph of a
+    v..2v-1.  Raises InvalidDesign when d does not validate; the graph of a
     valid design is connected, because lambda >= 1.  Built once per design
     object; every later call returns the same graph, whose distance layers
     are tuples of vertex bitsets."""
@@ -236,13 +238,7 @@ def from_edge_text(text: str) -> IncidenceGraph:
     lines = content_lines(text)
     if not lines or not lines[0].startswith("G "):
         raise ValueError("missing `G n m bipartition_size` header")
-    head = lines[0].split()
-    if len(head) != 4:
-        raise ValueError(f"bad header line: {lines[0]!r}")
-    try:
-        n, m, bip = int(head[1]), int(head[2]), int(head[3])
-    except ValueError:
-        raise ValueError(f"bad header line: {lines[0]!r}") from None
+    n, m, bip = int_line(lines[0], "header", 4, skip=1)
     if len(lines) - 1 != m:
         raise ValueError(f"expected {m} edge lines, found {len(lines) - 1}")
     if not 1 <= n <= m + 1:
@@ -253,13 +249,7 @@ def from_edge_text(text: str) -> IncidenceGraph:
     adj = [[] for _ in range(n)]
     seen = set()
     for ln in lines[1:]:
-        toks = ln.split()
-        if len(toks) != 2:
-            raise ValueError(f"bad edge line: {ln!r}")
-        try:
-            u, w = int(toks[0]), int(toks[1])
-        except ValueError:
-            raise ValueError(f"bad edge line: {ln!r}") from None
+        u, w = int_line(ln, "edge", 2)
         if not (0 <= u < n and 0 <= w < n):
             raise ValueError(f"edge endpoint out of range: {ln!r}")
         if {(u, w), (w, u)} & seen:

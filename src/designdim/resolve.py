@@ -32,7 +32,8 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .designs import (
-    Design, _bits, _mask, block_masks, content_lines, dual, pencil_masks, require_valid,
+    Design, _bits, _mask, block_masks, content_lines, dual, int_line, pencil_masks,
+    require_valid,
 )
 from .incidence import IncidenceGraph, incidence_graph
 
@@ -310,10 +311,11 @@ def _minimum_hitting_set(sets, n_elements: int, budget: int | None, max_size: in
     finds.  The disjoint-packing lower bound counts uncovered sets by their
     allowed elements and prunes a branch in which an uncovered set has none.
     With max_size given, searches only for solutions of at most that size
-    and returns None when a complete search finds no such solution.
-    Deterministic; returns (solution, nodes visited)."""
-    if budget is not None and budget <= 0:
-        raise BudgetExceeded(f"node budget {budget} exhausted before search")
+    and returns None when a complete search finds no such solution.  A
+    budget below 1 raises ValueError, a search past the budget
+    BudgetExceeded.  Deterministic; returns (solution, nodes visited)."""
+    if budget is not None and budget < 1:
+        raise ValueError(f"node budget {budget} must be positive")
     if any(m == 0 for m in sets):
         raise ValueError("an empty set cannot be hit")
     uniq = sorted(set(sets), key=lambda m: (m.bit_count(), m))
@@ -580,13 +582,7 @@ def witness_from_text(text: str) -> tuple[str, tuple[int, ...]]:
         raise ValueError(f"bad witness header: {lines[0]!r}")
     if len(lines) > 2:
         raise ValueError("witness file has trailing content")
-    indices: tuple[int, ...] = ()
-    if len(lines) == 2:
-        try:
-            indices = tuple(int(tok) for tok in lines[1].split())
-        except ValueError:
-            raise ValueError(f"bad witness index line: {lines[1]!r}") from None
-    return head[1], indices
+    return head[1], int_line(lines[1], "witness index") if len(lines) == 2 else ()
 
 
 def verify_witness(subject: Design | IncidenceGraph, role: str, indices) -> tuple[bool, str]:
@@ -598,7 +594,7 @@ def verify_witness(subject: Design | IncidenceGraph, role: str, indices) -> tupl
     ValueError."""
     if isinstance(subject, IncidenceGraph):
         if role != "full":
-            raise ValueError(f"an incidence graph takes only role 'full', not {role!r}")
+            raise ValueError(f"graph files support only role 'full', not {role!r}")
         graph, v, name = subject, 0, "the graph"  # v sizes only the semi roles
     else:
         graph, v, name = incidence_graph(subject), subject.point_count, "the incidence graph"

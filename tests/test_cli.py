@@ -380,10 +380,18 @@ def test_design_file_exit_codes(capsys, tmp_path, command, text, want):
      "7 points exceeds the exact-solver limit 5"),
     (["bounds", "--sweep", "pg", "--mc-trials", "-1"], 2, "trials = -1 must be positive"),
     (["bounds", "--design", "FANO", "--s", "100"], 2, "s = 100 outside 0..7"),
+    (["bounds", "--sweep", "pg", "--qmax", "1"], 2, "qmax = 1 must be at least 2"),
+    (["resolve", "FANO", "--method", "exact", "--budget", "0"], 2,
+     "node budget 0 must be positive"),
+    (["resolve", "FANO", "--method", "exact", "--target", "split", "--budget", "0"], 2,
+     "node budget 0 must be positive"),
+    (["resolve", "FANO", "--method", "exact", "--target", "full-mdim", "--budget", "0"], 2,
+     "node budget 0 must be positive"),
     (["resolve", "FANO", "--method", "random", "--s", "1", "--retries", "3"], 1,
      "no semi-resolving sample in 3 trials (best trial left 9 pairs unresolved)"),
     (["resolve", "FANO", "--method", "exact", "--budget", "1"], 1, "node budget 1 exceeded"),
-], ids=["s", "split-s", "retries", "limit", "mc-trials", "bounds-s", "exhausted", "budget"])
+], ids=["s", "split-s", "retries", "limit", "mc-trials", "bounds-s", "qmax", "budget-0",
+        "split-budget-0", "full-budget-0", "exhausted", "budget"])
 def test_option_exit_codes(capsys, tmp_path, argv, want, err):
     """Options the valid input does not support exit 2; a solver that gives
     up exits 1."""

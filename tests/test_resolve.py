@@ -485,7 +485,7 @@ def test_min_semi_eight_cycle_design_by_full_enumeration(corpus):
 
 
 def test_min_semi_budget_zero(fano):
-    with pytest.raises(dd.BudgetExceeded):
+    with pytest.raises(ValueError, match="^node budget 0 must be positive$"):
         dd.min_semi_resolving(fano, budget=0)
 
 
