@@ -125,6 +125,34 @@ def test_hadamard_design_parameters():
     assert dd.validate(d12).ok
 
 
+def _normalized_entrywise(H):
+    """Negate, entry by entry, each row and then each column whose first
+    entry is -1."""
+    rows = [list(r) for r in H.rows]
+    for r in rows:
+        if r[0] < 0:
+            for j in range(len(r)):
+                r[j] = -r[j]
+    for j in range(len(rows)):
+        if rows[0][j] < 0:
+            for r in rows:
+                r[j] = -r[j]
+    return rows
+
+
+def test_hadamard_design_matches_entrywise_normalization():
+    for n in range(8, 129, 4):
+        try:
+            H = dd.hadamard_matrix(n)
+        except dd.ConstructionError:
+            continue
+        rows = _normalized_entrywise(H)
+        blocks = tuple(
+            tuple(j - 1 for j in range(1, n) if rows[i][j] > 0) for i in range(1, n)
+        )
+        assert dd.hadamard_design(H).blocks == blocks, n
+
+
 def test_hadamard_design_rejects_small_orders():
     with pytest.raises(dd.ConstructionError):
         dd.hadamard_design(dd.hadamard_matrix(4))

@@ -3,6 +3,7 @@ import pytest
 from designdim.fields import is_prime, make_field, prime_power
 
 SMALL_ORDERS = [q for q in range(2, 65) if prime_power(q) is not None]
+EXTENSION_ORDERS = [q for q in range(2, 257) if (pp := prime_power(q)) and pp[1] >= 2]
 
 
 def test_gf2_addition():
@@ -104,3 +105,35 @@ def test_pow_matches_repeated_multiplication():
         for n in range(6):
             assert f.pow(a, n) == acc
             acc = f.mul(acc, a)
+
+
+def _digits(a, p, e):
+    return [a // p**i % p for i in range(e)]
+
+
+def _undigits(ds, p):
+    return sum(d * p**i for i, d in enumerate(ds))
+
+
+@pytest.mark.parametrize("q", EXTENSION_ORDERS)
+def test_extension_field_addition_is_digitwise(q):
+    """An element's base-p digits are its polynomial coefficients, so sum,
+    negation and difference act on each digit mod p, on every pair."""
+    p, e = prime_power(q)
+    f = make_field(p, e)
+    digits = [_digits(a, p, e) for a in f.elements]
+    for a in f.elements:
+        assert f.neg(a) == _undigits([-x % p for x in digits[a]], p)
+        for b in f.elements:
+            assert f.add(a, b) == _undigits([(x + y) % p for x, y in zip(digits[a], digits[b])], p)
+            assert f.sub(a, b) == _undigits([(x - y) % p for x, y in zip(digits[a], digits[b])], p)
+
+
+def test_is_prime_matches_a_sieve():
+    limit = 10_000
+    sieve = [False, False] + [True] * (limit - 2)
+    for n in range(2, limit):
+        if sieve[n]:
+            for m in range(n * n, limit, n):
+                sieve[m] = False
+    assert [is_prime(n) for n in range(-5, limit)] == [False] * 5 + sieve
