@@ -60,7 +60,7 @@ def _load(path: str, graphs: bool = False):
     graph in an edge-list file; the header says which."""
     def parse(text):
         lines = designs.content_lines(text)
-        if not (lines and lines[0].startswith("G ")):
+        if not (lines and lines[0].split()[0] == "G"):
             return designs.from_text(text)
         if not graphs:
             raise ValueError(f"{path} is a graph file, which only verify reads")
@@ -79,18 +79,21 @@ def _design_summary(d) -> dict:
 # construct
 # ---------------------------------------------------------------------------
 
-# constructor name -> design from the command-line parameter
+# constructor name -> design from the integer parameter
 _CONSTRUCTORS = {
-    "pg": lambda p: designs.projective_plane(int(p)),
-    "hadamard-design": lambda p: designs.hadamard_design(designs.hadamard_matrix(int(p))),
-    "biaffine": lambda p: designs.biaffine_plane(int(p)),
-    "hadamard-std": lambda p: designs.hadamard_std(designs.hadamard_matrix(int(p))),
-    "file": _load,
+    "pg": designs.projective_plane,
+    "hadamard-design": lambda n: designs.hadamard_design(designs.hadamard_matrix(n)),
+    "biaffine": designs.biaffine_plane,
+    "hadamard-std": lambda n: designs.hadamard_std(designs.hadamard_matrix(n)),
 }
 
 
 def _cmd_construct(args) -> int:
-    d = _CONSTRUCTORS[args.constructor](args.parameter)
+    if args.constructor == "file":
+        d = _load(args.parameter)
+    else:
+        (n,) = designs.int_line(args.parameter, f"{args.constructor} parameter", 1)
+        d = _CONSTRUCTORS[args.constructor](n)
     report = designs.validate_design(d)
     with open(args.out, "w", encoding="ascii") as fh:
         fh.write(designs.to_text(d))
@@ -285,7 +288,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", help="build a design and write it to a file")
-    p.add_argument("constructor", choices=list(_CONSTRUCTORS))
+    p.add_argument("constructor", choices=[*_CONSTRUCTORS, "file"])
     p.add_argument("parameter", help="prime power q / matrix order n / input path")
     p.add_argument("-o", "--out", required=True, help="output design file")
     p.set_defaults(func=_cmd_construct)

@@ -319,17 +319,9 @@ def hadamard_matrix(n: int) -> HadamardMatrix:
 
 
 def _normalize_hadamard(H: HadamardMatrix):
-    """Negate rows, then columns, whose first entry is -1 (deterministic)."""
-    rows = [list(r) for r in H.rows]
-    for r in rows:
-        if r[0] < 0:
-            for j in range(len(r)):
-                r[j] = -r[j]
-    for j in range(len(rows)):
-        if rows[0][j] < 0:
-            for r in rows:
-                r[j] = -r[j]
-    return rows
+    """Multiply each row by its first entry, then each column by row 0's."""
+    rows = [[x * r[0] for x in r] for r in H.rows]
+    return [[x * s for x, s in zip(r, rows[0])] for r in rows]
 
 
 def hadamard_design(H: HadamardMatrix) -> SymmetricDesign:

@@ -3,8 +3,9 @@
 An element is an integer in ``range(p**e)`` whose base-p digits are the
 coefficients of its residue polynomial (constant term in the least
 significant digit).  Multiplication and inversion go through exp/log
-tables built once from a fixed generator, so arithmetic is table lookups
-after construction.  Fields are capped at MAX_FIELD_SIZE elements.
+tables built once from a fixed generator, and in GF(p^e) with e >= 2 so do
+sums and negation, by Zech logarithms: a + b = a * (1 + b/a).  Fields are
+capped at MAX_FIELD_SIZE elements.
 """
 
 from __future__ import annotations
@@ -13,16 +14,7 @@ MAX_FIELD_SIZE = 1 << 16
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    return prime_power(n) == (n, 1)
 
 
 def prime_power(n: int) -> tuple[int, int] | None:
@@ -122,7 +114,7 @@ class FiniteField:
         return self._encode(_poly_rem(prod, self.modulus, self.p))
 
     def _build_log_tables(self):
-        q = self.order
+        q, p = self.order, self.p
         for g in range(1, q):
             exp, x = [], 1
             while True:
@@ -137,33 +129,25 @@ class FiniteField:
                 for i, val in enumerate(exp):
                     log[val] = i
                 self._log = tuple(log)
+                # 1 + g^i: g^i with its constant digit raised by one mod p
+                self._one_plus = tuple(x - x % p + (x + 1) % p for x in exp)
                 return
         raise AssertionError("multiplicative group of a finite field is cyclic")
 
     # -- arithmetic --------------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        p = self.p
         if self.e == 1:
-            return (a + b) % p
-        out, mult = 0, 1
-        while a or b:
-            out += ((a % p) + (b % p)) % p * mult
-            a //= p
-            b //= p
-            mult *= p
-        return out
+            return (a + b) % self.p
+        if not a or not b:
+            return a or b
+        log = self._log
+        return self.mul(a, self._one_plus[(log[b] - log[a]) % (self.order - 1)])
 
     def neg(self, a: int) -> int:
-        p = self.p
         if self.e == 1:
-            return (-a) % p
-        out, mult = 0, 1
-        while a:
-            out += (-(a % p)) % p * mult
-            a //= p
-            mult *= p
-        return out
+            return (-a) % self.p
+        return self.mul(a, self.p - 1)  # -1 is the constant p - 1
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))

@@ -22,12 +22,12 @@ class IncidenceGraph:
     """Undirected connected graph with its distance layers.
 
     nbr[u] is the neighbor bitset of vertex u; layers[u][i] is Gamma_i(u),
-    for i in 0..diameter (0 past the eccentricity of u), from diameter
-    rounds of one OR per vertex and edge end.  part tags each
-    vertex with its side of the bipartition (0 = point side) when the graph
-    is bipartite, else None.  point_count is the size of the point side when
-    the graph came from a design (or an imported bipartition header), else
-    None.
+    for i in 0..diameter (0 past the eccentricity of u): layers[u][1] is
+    nbr[u], and each further layer takes one round of one OR per vertex and
+    edge end.  part tags each vertex with its side of the bipartition (0 =
+    point side) when the graph is bipartite, else None.  point_count is the
+    size of the point side when the graph came from a design (or an
+    imported bipartition header), else None.
     """
 
     __slots__ = ("n", "adj", "nbr", "layers", "part", "point_count", "diameter")
@@ -46,8 +46,8 @@ class IncidenceGraph:
                 if not nbr[w] & bit:
                     raise ValueError(f"edge ({u}, {w}) is not symmetric")
         full = (1 << n) - 1
-        balls = [1 << u for u in range(n)]
-        rows = [[ball] for ball in balls]
+        balls = [m | 1 << u for u, m in enumerate(nbr)]
+        rows = [[1 << u, m] if m else [1 << u] for u, m in enumerate(nbr)]
         growing = [u for u in range(n) if balls[u] != full]
         while growing:
             below = balls[:]
@@ -236,7 +236,7 @@ def to_edge_text(g: IncidenceGraph) -> str:
 
 def from_edge_text(text: str) -> IncidenceGraph:
     lines = content_lines(text)
-    if not lines or not lines[0].startswith("G "):
+    if not lines or lines[0].split()[0] != "G":
         raise ValueError("missing `G n m bipartition_size` header")
     n, m, bip = int_line(lines[0], "header", 4, skip=1)
     if len(lines) - 1 != m:

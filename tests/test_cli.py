@@ -287,6 +287,23 @@ def test_verify_full_witness_against_graph_file(capsys, tmp_path):
     assert "full" in err
 
 
+def test_tab_separated_graph_header_reads_as_a_graph(capsys, tmp_path):
+    """A graph file is recognised by the first token of its header, which
+    any whitespace may follow, as in a design file."""
+    design = _construct(capsys, tmp_path, "pg", 2, "fano.sd")
+    graph = dd.incidence_graph(dd.from_text(design.read_text()))
+    text = dd.to_edge_text(graph).replace(" ", "\t", 3)
+    assert text.startswith("G\t14\t21\t7\n")
+    assert dd.from_edge_text(text).adj == graph.adj
+    graph_path = tmp_path / "heawood.g"
+    graph_path.write_text(text)
+    witness = tmp_path / "full.rs"
+    witness.write_text(dd.witness_to_text("full", dd.metric_dimension(graph).landmarks))
+    code, out, err = _run(capsys, "verify", str(graph_path), str(witness))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["detail"] == "resolves the graph"
+
+
 def test_verify_full_witness_on_a_long_path(capsys, tmp_path):
     n = 300
     graph_path = tmp_path / "path.g"
@@ -413,7 +430,7 @@ INVALID = "design does not validate: class size g = 1 must be at least 2"
     (["classify", "ASCII"], 2,
      "'ascii' codec can't decode byte 0xc3 in position 9: ordinal not in range(128)"),
     (["construct", "pg", "6", "-o", "OUT"], 2, "6 is not a prime power"),
-    (["construct", "pg", "x", "-o", "OUT"], 2, "invalid literal for int() with base 10: 'x'"),
+    (["construct", "pg", "x", "-o", "OUT"], 2, "bad pg parameter line: 'x'"),
     (["classify", "GRAPH"], 2, "GRAPH is a graph file, which only verify reads"),
     (["verify", "GRAPH", "SEMI"], 2, "graph files support only role 'full', not 'semi-points'"),
 ], ids=[

@@ -103,6 +103,7 @@ FANO_BODY = "0 1 2\n0 3 4\n0 5 6\n1 3 5\n1 4 6\n2 3 6\n2 4 5\n"
     (dd.from_edge_text, "G 2 x 1\n0 1\n", "bad header line: 'G 2 x 1'"),
     (dd.from_edge_text, "G 2 1\n0 1\n", "bad header line: 'G 2 1'"),
     (dd.from_edge_text, "H 2 1 1\n0 1\n", "missing `G n m bipartition_size` header"),
+    (dd.from_edge_text, "G\n0 1\n", "bad header line: 'G'"),
     (dd.from_edge_text, "G 3 2 1\n0 1 2\n0 2\n", "bad edge line: '0 1 2'"),
     (dd.from_edge_text, "G 3 2 1\n0 1\n0 z\n", "bad edge line: '0 z'"),
     (dd.witness_from_text, "RS full\n0 1 x\n", "bad witness index line: '0 1 x'"),
@@ -110,7 +111,8 @@ FANO_BODY = "0 1 2\n0 3 4\n0 5 6\n1 3 5\n1 4 6\n2 3 6\n2 4 5\n"
     (dd.witness_from_text, "RS nope\n0\n", "bad witness header: 'RS nope'"),
 ], ids=[
     "sd-token", "sd-short", "sd-long", "sd-tag", "sd-int-tag", "sd-row", "std-row", "sd-empty",
-    "g-token", "g-short", "g-tag", "g-3-tokens", "g-edge-token", "rs-token", "rs-float", "rs-head",
+    "g-token", "g-short", "g-tag", "g-bare", "g-3-tokens", "g-edge-token",
+    "rs-token", "rs-float", "rs-head",
 ])
 def test_parser_messages(parse, text, message):
     with pytest.raises(ValueError) as info:
