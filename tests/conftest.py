@@ -1,11 +1,14 @@
 import itertools
 from collections import deque
+from fractions import Fraction
+from math import comb
 
 import pytest
 
 import designdim as dd
-from designdim.designs import _bits
+from designdim.designs import _bits, _mask, pencil_masks
 from designdim.fields import make_field, prime_power
+from designdim.resolve import separator_masks
 
 PG_ORDERS = (2, 3, 4, 5, 7, 8, 9)
 HADAMARD_DESIGN_ORDERS = (8, 12, 16, 20)
@@ -279,3 +282,21 @@ def _reference_pair_count_violation(masks, lam, class_of=None):
 @pytest.fixture(scope="session")
 def reference_pair_count_violation():
     return _reference_pair_count_violation
+
+
+def _reference_subset_average(d, s, score):
+    """Test oracle: the exact average of score(separators, smask) over
+    every s-subset smask of the blocks, one subset at a time by
+    itertools.combinations; separators are the pencil symmetric
+    differences of d's point pairs."""
+    v = d.v
+    if not 0 <= s <= v:
+        raise ValueError(f"s = {s} outside 0..{v}")
+    separators = separator_masks(pencil_masks(d))
+    subsets = map(_mask, itertools.combinations(range(v), s))
+    return Fraction(sum(score(separators, smask) for smask in subsets), comb(v, s))
+
+
+@pytest.fixture(scope="session")
+def reference_subset_average():
+    return _reference_subset_average

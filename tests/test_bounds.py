@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import random
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -235,6 +237,47 @@ def test_monte_carlo_rejects_bad_arguments(fano):
 def test_exhaustive_success_rate_fano(fano):
     assert dd.exhaustive_success_rate(fano, 3) == Fraction(28, 35)
     assert dd.exhaustive_success_rate(fano, 7) == 1
+
+
+def _relabelled(d, rng):
+    """An isomorphic copy of d under seeded point, block and class orders,
+    drawn in the order the benchmark draws them."""
+    points = list(range(d.point_count))
+    rng.shuffle(points)
+    order = list(range(len(d.blocks)))
+    rng.shuffle(order)
+    blocks = [()] * len(d.blocks)
+    for j, blk in enumerate(d.blocks):
+        blocks[order[j]] = tuple(sorted(points[x] for x in blk))
+    if isinstance(d, dd.SymmetricDesign):
+        return dataclasses.replace(d, blocks=tuple(blocks))
+    classes = [tuple(sorted(points[x] for x in c)) for c in d.classes]
+    rng.shuffle(classes)
+    return dataclasses.replace(d, classes=tuple(classes), blocks=tuple(blocks))
+
+
+def test_exhaustive_matches_reference_enumeration(corpus, small_corpus, reference_subset_average):
+    """Both exhaustive averages equal the one-subset-at-a-time reference at
+    every s: on the small corpus, its duals and the benchmark's relabelled
+    ba4 and hd16."""
+    designs = {**small_corpus, **{f"dual {n}": dd.dual(d) for n, d in small_corpus.items()}}
+    for name in ("ba4", "hd16"):
+        designs[f"relabelled {name}"] = _relabelled(corpus[name], random.Random(f"1/{name}"))
+
+    def unresolved(seps, smask):
+        return sum(1 for sep in seps if not sep & smask)
+
+    def resolves(seps, smask):
+        return all(sep & smask for sep in seps)
+
+    for name, d in designs.items():
+        for s in range(d.v + 1):
+            assert dd.exhaustive_expected_unresolved(d, s) == (
+                reference_subset_average(d, s, unresolved)
+            ), (name, s)
+            assert dd.exhaustive_success_rate(d, s) == (
+                reference_subset_average(d, s, resolves)
+            ), (name, s)
 
 
 # ---------------------------------------------------------------------------
