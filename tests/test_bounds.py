@@ -1,12 +1,16 @@
 import dataclasses
 import math
 import random
+import tracemalloc
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import designdim as dd
+from designdim.cli import main
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +282,94 @@ def test_exhaustive_matches_reference_enumeration(corpus, small_corpus, referenc
             assert dd.exhaustive_success_rate(d, s) == (
                 reference_subset_average(d, s, resolves)
             ), (name, s)
+
+
+def test_exhaustive_past_one_table_on_pg4(corpus):
+    """PG(2,4) has v = 21 blocks, 5 past one truth table: the outer loop
+    over their assignments still gives the closed form at every s, no
+    success while 2^s < v signatures cannot tell the points apart, certain
+    success once s > v - m, and a peak heap far below the 2^21-subset
+    table that one width would need."""
+    d = corpus["pg4"]
+    v, m = d.v, 2 * (d.k - d.lam)
+    for s in range(v + 1):
+        assert dd.exhaustive_expected_unresolved(d, s) == dd.design_expected_unresolved(d, s), s
+        if 2**s < v:
+            assert dd.exhaustive_success_rate(d, s) == 0, s
+        elif s > v - m:
+            assert dd.exhaustive_success_rate(d, s) == 1, s
+    tracemalloc.start()
+    try:
+        dd.exhaustive_expected_unresolved(d, 10)
+        dd.exhaustive_success_rate(d, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
+
+
+def test_exhaustive_rejects_sample_sizes_before_building_tables(corpus, monkeypatch):
+    def no_tables(w):
+        raise AssertionError("built truth tables for an invalid s")
+
+    monkeypatch.setattr(dd.bounds, "_truth_tables", no_tables)
+    d = corpus["pg4"]
+    for exhaustive in (dd.exhaustive_expected_unresolved, dd.exhaustive_success_rate):
+        for s in (-1, d.v + 1):
+            with pytest.raises(ValueError, match=f"s = {s} outside 0..{d.v}"):
+                exhaustive(d, s)
+
+
+def _reference_dec(x):
+    return Decimal(x.numerator) / Decimal(x.denominator)
+
+
+def _signed(magnitudes):
+    return st.tuples(st.booleans(), magnitudes).map(lambda t: -t[1] if t[0] else t[1])
+
+
+# up to 4000-bit operands, any sign; and values halfway between two
+# 50-digit decimals, (c + 1/2) * 10^e with c of 50 digits, exactly or
+# nudged by 10^-30 * 10^e, far below the digits that the quotient keeps
+_operands = st.integers(0, 4000).flatmap(lambda bits: st.integers(0, 1 << bits))
+_ties = st.builds(
+    lambda c, nudge, e: (c + Fraction(1, 2) + Fraction(nudge, 10**30)) * Fraction(10) ** e,
+    st.integers(10**49, 10**50 - 1),
+    st.sampled_from((0, 1, -1)),
+    st.integers(-80, 80),
+)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(
+    x=st.one_of(
+        st.builds(Fraction, _signed(_operands), _operands.map(lambda d: d + 1)),
+        _signed(_ties),
+        st.just(Fraction(0)),
+    )
+)
+def test_dec_rounds_like_decimal_division(x):
+    """_dec(x) equals Decimal(n) / Decimal(d) in a 50-digit context, in value
+    and in the .12E string the chain reports print."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        got, want = dd.bounds._dec(x), _reference_dec(x)
+        assert got == want
+        assert format(got, ".12E") == format(want, ".12E")
+
+
+def test_chain_reports_and_sweep_csv_same_as_by_decimal_division(capsys, monkeypatch):
+    """The chain reports at q = 101 and 257 and the bounds --sweep pg
+    --qmax 32 CSV do not change when _dec divides whole Decimals."""
+
+    def outputs():
+        reports = [dd.inequality_chain(q * q + q + 1, 2 * q) for q in (101, 257)]
+        assert main(["bounds", "--sweep", "pg", "--qmax", "32"]) == 0
+        return reports, capsys.readouterr().out
+
+    fast = outputs()
+    monkeypatch.setattr(dd.bounds, "_dec", _reference_dec)
+    assert outputs() == fast
 
 
 # ---------------------------------------------------------------------------
