@@ -220,6 +220,25 @@ def reference_refinement_greedy():
     return _reference_refinement_greedy
 
 
+def _reference_incidence_graph(d):
+    """Test oracle: the incidence graph of d built from adjacency lists
+    through the checked constructor IncidenceGraph(adj, point_count=v):
+    points 0..v-1, blocks v..2v-1, each point joined to every block
+    containing it."""
+    v = d.point_count
+    adj = [[] for _ in range(2 * v)]
+    for j, blk in enumerate(d.blocks):
+        for x in blk:
+            adj[x].append(v + j)
+            adj[v + j].append(x)
+    return dd.IncidenceGraph(adj, point_count=v)
+
+
+@pytest.fixture(scope="session")
+def reference_incidence_graph():
+    return _reference_incidence_graph
+
+
 def _reference_intersection_array(g):
     """Test oracle: tally neighbor counts by distance over every ordered
     vertex pair (u, w), u-major: the neighbors of w in the layers i-1 and i

@@ -61,6 +61,15 @@ def test_validate_counts_every_pair_exhaustively(corpus):
                 assert (bmasks[j1] & bmasks[j2]).bit_count() == d.lam, name
 
 
+def test_masks_are_fresh_lists_of_the_same_bitsets(corpus):
+    """Repeated calls return equal lists, never the same list, so a caller
+    may change what it gets."""
+    for name, d in corpus.items():
+        for masks in (designs.pencil_masks, designs.block_masks):
+            first, second = masks(d), masks(d)
+            assert type(first) is list and first == second and first is not second, name
+
+
 def test_perturbed_fano_is_invalid(fano):
     blk = list(fano.blocks[0])
     outside = next(x for x in range(7) if x not in blk)
@@ -109,6 +118,26 @@ def test_hadamard_orthogonality():
         assert H.n == n
         assert H.is_orthogonal()
         assert all(x in (1, -1) for row in H.rows for x in row)
+
+
+def test_hadamard_check_on_every_constructed_order():
+    """Every order up to 64 that a construction reaches passes the check,
+    and one flipped entry fails it."""
+    built = []
+    for n in range(1, 65):
+        try:
+            H = dd.hadamard_matrix(n)
+        except dd.ConstructionError:
+            continue
+        built.append(n)
+        assert H.is_orthogonal(), n
+        if n >= 2:
+            rows = [list(r) for r in H.rows]
+            rows[-1][0] = -rows[-1][0]
+            flipped = dd.HadamardMatrix(n=n, rows=tuple(map(tuple, rows)))
+            assert not flipped.is_orthogonal(), n
+    # no implemented construction reaches 36 or 52
+    assert built == [1, 2] + [n for n in range(4, 65, 4) if n not in (36, 52)]
 
 
 def test_hadamard_unreachable_order():

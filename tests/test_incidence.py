@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import re
 import sys
@@ -104,6 +105,42 @@ def test_concurrent_first_use_keeps_an_equal_graph():
     assert all(g.adj == kept.adj and g.layers == kept.layers for g in results)
 
 
+def _relabelled(d, seed):
+    """An isomorphic copy of d under seeded point, block and class orders."""
+    rng = random.Random(seed)
+    point = list(range(d.point_count))
+    rng.shuffle(point)
+
+    def relabel(rows):
+        return tuple(tuple(sorted(point[x] for x in row)) for row in rows)
+
+    blocks = list(relabel(d.blocks))
+    rng.shuffle(blocks)
+    e = dataclasses.replace(d, blocks=tuple(blocks))
+    if isinstance(d, dd.TransversalDesign):
+        e = dataclasses.replace(e, classes=relabel(d.classes))
+    return e
+
+
+def test_design_graph_equals_adjacency_list_build(corpus, reference_incidence_graph):
+    """The graph of a design equals the one the checked constructor builds
+    from its adjacency lists: every corpus design and net, their duals, and
+    relabelled copies of larger ones."""
+    cases = list(corpus.items())
+    cases += [(f"dual {name}", dd.dual(d)) for name, d in corpus.items()]
+    larger = {
+        "pg13": dd.projective_plane(13),
+        "hd64": dd.hadamard_design(dd.hadamard_matrix(64)),
+        "hstd32": dd.hadamard_std(dd.hadamard_matrix(32)),
+        "ba11": dd.biaffine_plane(11),
+    }
+    cases += [(f"relabelled {name}", _relabelled(d, name)) for name, d in larger.items()]
+    for name, d in cases:
+        got, want = dd.incidence_graph(d), reference_incidence_graph(d)
+        for attr in ("n", "adj", "nbr", "layers", "part", "diameter", "point_count"):
+            assert getattr(got, attr) == getattr(want, attr), (name, attr)
+
+
 # ---------------------------------------------------------------------------
 # intersection arrays
 # ---------------------------------------------------------------------------
@@ -208,6 +245,38 @@ def test_intersection_array_matches_reference_on_random_graphs(
     reference_intersection_array, adj
 ):
     g = dd.IncidenceGraph(adj)
+    assert dd.intersection_array(g) == reference_intersection_array(g)
+
+
+SWITCHED = ("pg3", "pg4", "ba4", "hstd8", "hd16")
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(data=st.data())
+def test_intersection_array_matches_reference_on_switched_incidences(
+    corpus, reference_intersection_array, data
+):
+    """One to three switches of a corpus design or net: pick x in block A
+    but not B and y in block B but not A, and swap them (A gets y, B gets
+    x).  Every degree is kept, so the graph stays regular and bipartite
+    and the neighbor-count tallies alone decide."""
+    d = corpus[data.draw(st.sampled_from(SWITCHED), label="design")]
+    blocks = [set(blk) for blk in d.blocks]
+    index = st.integers(0, len(blocks) - 1)
+    for _ in range(data.draw(st.integers(1, 3), label="switches")):
+        a, b = data.draw(st.lists(index, min_size=2, max_size=2, unique=True), label="blocks")
+        x = data.draw(st.sampled_from(sorted(blocks[a] - blocks[b])), label="x")
+        y = data.draw(st.sampled_from(sorted(blocks[b] - blocks[a])), label="y")
+        blocks[a] ^= {x, y}
+        blocks[b] ^= {x, y}
+    v = d.point_count
+    adj = [[] for _ in range(v + len(blocks))]
+    for j, blk in enumerate(blocks):
+        for x in blk:
+            adj[x].append(v + j)
+            adj[v + j].append(x)
+    g = dd.IncidenceGraph(adj, point_count=v)
+    assert _degrees(g) == [d.k] * g.n and g.part is not None
     assert dd.intersection_array(g) == reference_intersection_array(g)
 
 
