@@ -26,9 +26,12 @@ threads.  Points and blocks are dense 0-based integer indices.
 
 Each design object is validated once and keeps its derived values on the
 instance: require_valid() stores the validation verdict on first use, and
-dual() and incidence.incidence_graph() their results.  Concurrent first
-use may compute a value twice, which is harmless: the values are equal
-and immutable.  The validators themselves stay uncached.
+pencil_masks(), block_masks(), dual() and incidence.incidence_graph()
+their results (a dual also takes its verdict and its masks from its
+design).  Validation, the dual, the incidence graph, the solvers and the
+bounds thus share one set of incidence bitsets.  Concurrent first use may
+compute a value twice, which is harmless: the values are equal and
+immutable.  The validators themselves stay uncached.
 """
 
 from __future__ import annotations
@@ -92,14 +95,14 @@ class HadamardMatrix:
     rows: tuple[tuple[int, ...], ...]
 
     def is_orthogonal(self) -> bool:
-        """True iff H * H^T == n * I."""
+        """True iff H is an n x n +-1 matrix with H * H^T = n * I.  Each row
+        is held as the bitset of its -1 entries; two +-1 rows are orthogonal
+        iff they differ in n/2 entries."""
         n = self.n
-        for i in range(n):
-            for j in range(i, n):
-                dot = sum(a * b for a, b in zip(self.rows[i], self.rows[j]))
-                if dot != (n if i == j else 0):
-                    return False
-        return True
+        if len(self.rows) != n or any(len(r) != n or {*r} - {1, -1} for r in self.rows):
+            return False
+        minus = [_mask(j for j, x in enumerate(r) if x == -1) for r in self.rows]
+        return all(2 * (a ^ b).bit_count() == n for i, a in enumerate(minus) for b in minus[:i])
 
 
 @dataclass(frozen=True)
@@ -171,18 +174,24 @@ def _tally_is(planes, count: int, scope: int) -> int:
 
 
 def block_masks(d: Design) -> list[int]:
-    """Each block as a bitset over the point universe."""
-    return [_mask(b) for b in d.blocks]
+    """Each block as a bitset over the point universe.  Computed once per
+    design object; every call returns a fresh list."""
+    return list(_derived(d, "block_masks", lambda d: tuple(map(_mask, d.blocks))))
 
 
 def pencil_masks(d: Design) -> list[int]:
-    """For each point x, the bitset of indices of blocks containing x."""
+    """For each point x, the bitset of indices of blocks containing x.
+    Computed once per design object; every call returns a fresh list."""
+    return list(_derived(d, "pencil_masks", _build_pencils))
+
+
+def _build_pencils(d: Design) -> tuple[int, ...]:
     pencils = [0] * d.point_count
     for j, b in enumerate(d.blocks):
         bit = 1 << j
         for x in b:
             pencils[x] |= bit
-    return pencils
+    return tuple(pencils)
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +485,9 @@ def _both_sides(d: Design, bmasks) -> list[str]:
     """The rule run on d, whose members are its blocks, and on its dual,
     whose members are the point pencils: at most one violation per side.
     A net's dual-side violation says that the dual is not a transversal
-    design."""
+    design.  bmasks, checked against the point range, are kept on d as its
+    block masks."""
+    _derived(d, "block_masks", lambda d: tuple(bmasks))
     pencils = pencil_masks(d)
     rows = [[] for _ in pencils]
     for j, blk in enumerate(d.blocks):
@@ -580,8 +591,11 @@ def _build_dual(d: Design) -> Design:
         e = TransversalDesign(
             g=d.g, k=d.k, lam=d.lam, classes=_parallel_classes(d, pencils), blocks=new_blocks
         )
-    # d's check ran on both of its sides, which are the two sides of e
+    # d's check ran on both of its sides, which are the two sides of e,
+    # and the pencils of each are the block masks of the other
     _derived(e, "validation", lambda e: _derived(d, "validation", validate_design))
+    _derived(e, "block_masks", lambda e: tuple(pencils))
+    _derived(e, "pencil_masks", lambda e: tuple(block_masks(d)))
     return e
 
 

@@ -14,7 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .designs import (
-    Design, _bits, _derived, _tally, _tally_is, content_lines, int_line, require_valid,
+    Design, _bits, _derived, _tally, _tally_is, block_masks, content_lines, int_line,
+    pencil_masks, require_valid,
 )
 
 
@@ -28,23 +29,44 @@ class IncidenceGraph:
     point side) when the graph is bipartite, else None.  point_count is the
     size of the point side when the graph came from a design (or an
     imported bipartition header), else None.
+
+    IncidenceGraph(adjacency, point_count) is the checked entry point: it
+    sorts and dedupes the adjacency lists and rejects a bad neighbor or an
+    asymmetric edge.  The graph of a design (incidence_graph) takes adj and
+    nbr straight from the design's validated bitsets instead.  Both then
+    build the layers in the same step, by ball BFS over nbr.
     """
 
     __slots__ = ("n", "adj", "nbr", "layers", "part", "point_count", "diameter")
 
     def __init__(self, adjacency, point_count: int | None = None):
-        self.adj = tuple(tuple(sorted(set(ns))) for ns in adjacency)
-        self.n = n = len(self.adj)
+        adj = tuple(tuple(sorted(set(ns))) for ns in adjacency)
+        n = len(adj)
         if n == 0:
             raise ValueError("empty graph")
-        self.nbr = nbr = tuple(sum(1 << w for w in ns if 0 <= w < n) for ns in self.adj)
-        for u, ns in enumerate(self.adj):
+        nbr = tuple(sum(1 << w for w in ns if 0 <= w < n) for ns in adj)
+        for u, ns in enumerate(adj):
             bit = 1 << u
             for w in ns:
                 if not 0 <= w < n or w == u:
                     raise ValueError(f"bad neighbor {w} of vertex {u}")
                 if not nbr[w] & bit:
                     raise ValueError(f"edge ({u}, {w}) is not symmetric")
+        self._build_layers(adj, nbr, point_count)
+
+    @classmethod
+    def _from_bitsets(cls, adj, nbr, point_count: int | None):
+        """A graph whose adj (sorted neighbor tuples) and nbr (the same as
+        bitsets) are already known to be symmetric and loop-free."""
+        g = cls.__new__(cls)
+        g._build_layers(adj, nbr, point_count)
+        return g
+
+    def _build_layers(self, adj, nbr, point_count):
+        """Set every attribute from adj and nbr: the layers, the diameter
+        and part come from one ball BFS for all roots at once."""
+        self.adj, self.nbr, self.n, self.point_count = adj, nbr, len(adj), point_count
+        n = self.n
         full = (1 << n) - 1
         balls = [m | 1 << u for u, m in enumerate(nbr)]
         rows = [[1 << u, m] if m else [1 << u] for u, m in enumerate(nbr)]
@@ -53,7 +75,7 @@ class IncidenceGraph:
             below = balls[:]
             for u in growing:
                 ball = below[u]
-                for x in self.adj[u]:
+                for x in adj[u]:
                     ball |= below[x]
                 if ball == below[u]:
                     raise ValueError("graph is not connected")
@@ -67,7 +89,6 @@ class IncidenceGraph:
         # bipartite iff no layer of vertex 0 contains an edge
         bipartite = all(not nbr[x] & layer for layer in self.layers[0] for x in _bits(layer))
         self.part = part if bipartite else None
-        self.point_count = point_count
 
     @property
     def edge_count(self) -> int:
@@ -85,13 +106,12 @@ def incidence_graph(d: Design) -> IncidenceGraph:
 
 
 def _build_incidence_graph(d: Design) -> IncidenceGraph:
+    """The graph from the validated bitsets: point x's neighbors are its
+    pencil shifted past the points, block j's are its block mask."""
     v = d.point_count
-    adj = [[] for _ in range(2 * v)]
-    for j, blk in enumerate(d.blocks):
-        for x in blk:
-            adj[x].append(v + j)
-            adj[v + j].append(x)
-    return IncidenceGraph(adj, point_count=v)
+    nbr = tuple([p << v for p in pencil_masks(d)] + block_masks(d))
+    adj = tuple(tuple(_bits(m)) for m in nbr)
+    return IncidenceGraph._from_bitsets(adj, nbr, point_count=v)
 
 
 # ---------------------------------------------------------------------------
@@ -132,11 +152,17 @@ def intersection_array(g: IncidenceGraph) -> IntersectionArray | NotDistanceRegu
     """Check the neighbor counts (down, same, up) of w in the layers i-1, i
     and i+1 of u for every pair (u, w) at distance i against the lowest
     such pair; return the intersection array if all agree, else the lowest
-    conflicting pair as the witness.  For each w and i, one tally of the
-    layers Gamma_(i-1)(x) of the neighbors x of w counts down for every u
-    in Gamma_i(w) at once; their layers Gamma_i(x) count same (0 when the
-    graph is bipartite)."""
-    layers, nbr = g.layers, g.nbr
+    conflicting pair as the witness.
+
+    Only the counts that can differ are tallied.  The degree of w is
+    down + same + up, and every pair has down = 1 at i = 1 (u itself) and
+    up = 0 at i = d, the diameter; same is 0 at i = 0 and in a bipartite
+    graph.  So, given the degree check, a non-bipartite graph tallies same
+    for i >= 1, and each middle layer 1 < i < d tallies one more count,
+    the smaller of down and up: one tally of the layers Gamma_(i-1)(x)
+    (or Gamma_(i+1)(x)) of the neighbors x of w counts it for every u in
+    Gamma_i(w) at once."""
+    layers, nbr, d = g.layers, g.nbr, g.diameter
 
     def counts(u, w, i):
         m = nbr[w]
@@ -145,10 +171,15 @@ def intersection_array(g: IncidenceGraph) -> IntersectionArray | NotDistanceRegu
         return down, same, m.bit_count() - down - same
 
     firsts = []
-    for i in range(g.diameter + 1):
+    for i in range(d + 1):
         u = next(u for u, row in enumerate(layers) if row[i])
         w = next(_bits(layers[u][i]))
         firsts.append(((u, w), counts(u, w, i)))
+    # per layer: the layer offset and the count to tally, or None
+    tallied = [None] * (d + 1)
+    for i in range(2, d):
+        down, _, up = firsts[i][1]
+        tallied[i] = (-1, down) if down <= up else (1, up)
     witness, lower = None, (1 << g.n) - 1  # lower: the u that would beat it
     for w, ns in enumerate(g.adj):
         for i, scope in enumerate(layers[w]):
@@ -156,10 +187,11 @@ def intersection_array(g: IncidenceGraph) -> IntersectionArray | NotDistanceRegu
                 continue
             down, same, up = firsts[i][1]
             good = scope if len(ns) == down + same + up else 0
-            if i and good:
-                good = _tally_is(_tally(layers[x][i - 1] & good for x in ns), down, good)
-            if good and g.part is None:
+            if i and good and g.part is None:
                 good = _tally_is(_tally(layers[x][i] & good for x in ns), same, good)
+            if good and tallied[i]:
+                step, count = tallied[i]
+                good = _tally_is(_tally(layers[x][i + step] & good for x in ns), count, good)
             if bad := scope & ~good:
                 u = next(_bits(bad))
                 witness, lower = (u, w, i), (1 << u) - 1

@@ -140,6 +140,14 @@ def test_hadamard_check_on_every_constructed_order():
     assert built == [1, 2] + [n for n in range(4, 65, 4) if n not in (36, 52)]
 
 
+def test_hadamard_check_needs_an_n_by_n_sign_matrix():
+    """A short row tuple and 2 I_4 (orthogonal rows, entries not +-1) fail."""
+    H = dd.hadamard_matrix(4)
+    assert not dd.HadamardMatrix(n=4, rows=H.rows[:3]).is_orthogonal()
+    doubled = tuple(tuple(2 * (i == j) for j in range(4)) for i in range(4))
+    assert not dd.HadamardMatrix(n=4, rows=doubled).is_orthogonal()
+
+
 def test_hadamard_unreachable_order():
     with pytest.raises(dd.ConstructionError, match="tried"):
         dd.hadamard_matrix(6)

@@ -765,16 +765,22 @@ def test_split_rejects_one_point_designs(d, violation):
 
 
 def test_split_then_verify_validates_and_builds_once(monkeypatch):
-    validated, built = [], []
+    validated, built, checked = [], [], []
     validate = designs.validate
     monkeypatch.setattr(designs, "validate", lambda d: validated.append(d) or validate(d))
     init = incidence.IncidenceGraph.__init__
+    build_layers = incidence.IncidenceGraph._build_layers
 
     def counting_init(self, *args, **kwargs):
-        built.append(self)
+        checked.append(self)
         init(self, *args, **kwargs)
 
+    def counting_build_layers(self, *args, **kwargs):
+        built.append(self)
+        build_layers(self, *args, **kwargs)
+
     monkeypatch.setattr(incidence.IncidenceGraph, "__init__", counting_init)
+    monkeypatch.setattr(incidence.IncidenceGraph, "_build_layers", counting_build_layers)
     d = dd.projective_plane(3)
     split = dd.split_resolving(d, method="greedy")
     ok, _ = dd.verify_witness(d, "split", split.graph_vertices(d.point_count))
@@ -782,6 +788,8 @@ def test_split_then_verify_validates_and_builds_once(monkeypatch):
     # the dual takes the verdict of d, whose check covered both sides
     assert len(validated) == 1 and validated[0] is d
     assert len(built) == 1
+    # a design's graph comes from its validated bitsets, not the checked constructor
+    assert len(checked) == 0
 
 
 def test_split_unknown_method(fano):
