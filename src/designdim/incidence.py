@@ -54,19 +54,13 @@ class IncidenceGraph:
                     raise ValueError(f"edge ({u}, {w}) is not symmetric")
         self._build_layers(adj, nbr, point_count)
 
-    @classmethod
-    def _from_bitsets(cls, adj, nbr, point_count: int | None):
-        """A graph whose adj (sorted neighbor tuples) and nbr (the same as
-        bitsets) are already known to be symmetric and loop-free."""
-        g = cls.__new__(cls)
-        g._build_layers(adj, nbr, point_count)
-        return g
-
     def _build_layers(self, adj, nbr, point_count):
-        """Set every attribute from adj and nbr: the layers, the diameter
-        and part come from one ball BFS for all roots at once."""
-        self.adj, self.nbr, self.n, self.point_count = adj, nbr, len(adj), point_count
-        n = self.n
+        """Set every attribute from adj (sorted neighbor tuples) and nbr
+        (the same as bitsets), which must be symmetric and loop-free: the
+        layers, the diameter and part come from one ball BFS for all roots
+        at once."""
+        self.adj, self.nbr, self.point_count = adj, nbr, point_count
+        self.n = n = len(adj)
         full = (1 << n) - 1
         balls = [m | 1 << u for u, m in enumerate(nbr)]
         rows = [[1 << u, m] if m else [1 << u] for u, m in enumerate(nbr)]
@@ -110,8 +104,9 @@ def _build_incidence_graph(d: Design) -> IncidenceGraph:
     pencil shifted past the points, block j's are its block mask."""
     v = d.point_count
     nbr = tuple([p << v for p in pencil_masks(d)] + block_masks(d))
-    adj = tuple(tuple(_bits(m)) for m in nbr)
-    return IncidenceGraph._from_bitsets(adj, nbr, point_count=v)
+    g = IncidenceGraph.__new__(IncidenceGraph)  # validation did the constructor's checks
+    g._build_layers(tuple(tuple(_bits(m)) for m in nbr), nbr, v)
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -175,11 +170,11 @@ def intersection_array(g: IncidenceGraph) -> IntersectionArray | NotDistanceRegu
         u = next(u for u, row in enumerate(layers) if row[i])
         w = next(_bits(layers[u][i]))
         firsts.append(((u, w), counts(u, w, i)))
-    # per layer: the layer offset and the count to tally, or None
+    # per middle layer i: the layer of u to tally for w, and its count
     tallied = [None] * (d + 1)
     for i in range(2, d):
         down, _, up = firsts[i][1]
-        tallied[i] = (-1, down) if down <= up else (1, up)
+        tallied[i] = (i - 1, down) if down <= up else (i + 1, up)
     witness, lower = None, (1 << g.n) - 1  # lower: the u that would beat it
     for w, ns in enumerate(g.adj):
         for i, scope in enumerate(layers[w]):
@@ -190,8 +185,8 @@ def intersection_array(g: IncidenceGraph) -> IntersectionArray | NotDistanceRegu
             if i and good and g.part is None:
                 good = _tally_is(_tally(layers[x][i] & good for x in ns), same, good)
             if good and tallied[i]:
-                step, count = tallied[i]
-                good = _tally_is(_tally(layers[x][i + step] & good for x in ns), count, good)
+                j, count = tallied[i]
+                good = _tally_is(_tally(layers[x][j] & good for x in ns), count, good)
             if bad := scope & ~good:
                 u = next(_bits(bad))
                 witness, lower = (u, w, i), (1 << u) - 1
