@@ -8,7 +8,7 @@ import pytest
 import designdim as dd
 from designdim.designs import _bits, _mask, pencil_masks
 from designdim.fields import make_field, prime_power
-from designdim.resolve import separator_masks
+from designdim.resolve import BudgetExceeded, separator_masks
 
 PG_ORDERS = (2, 3, 4, 5, 7, 8, 9)
 HADAMARD_DESIGN_ORDERS = (8, 12, 16, 20)
@@ -319,3 +319,97 @@ def _reference_subset_average(d, s, score):
 @pytest.fixture(scope="session")
 def reference_subset_average():
     return _reference_subset_average
+
+
+def _reference_minimum_hitting_set(
+    sets, n_elements: int, budget: int | None, max_size: int | None = None
+):
+    """Test oracle: the branch and bound of resolve._minimum_hitting_set
+    as it was before the packing bound walked only its picks and the
+    last level was counted without recursion.  Same arguments, same
+    (solution, nodes visited), same BudgetExceeded and ValueError."""
+    if budget is not None and budget < 1:
+        raise ValueError(f"node budget {budget} must be positive")
+    if any(m == 0 for m in sets):
+        raise ValueError("an empty set cannot be hit")
+    uniq = sorted(set(sets), key=lambda m: (m.bit_count(), m))
+    minimal = []
+    for m in uniq:
+        if not any(kept & m == kept for kept in minimal):
+            minimal.append(m)
+    covers = [0] * n_elements  # element -> bitmask of set indices it hits
+    for i, m in enumerate(minimal):
+        while m:
+            e = (m & -m).bit_length() - 1
+            m &= m - 1
+            covers[e] |= 1 << i
+    if max_size is None:
+        # greedy upper bound: the element hitting the most uncovered sets,
+        # lowest index on ties
+        best, uncovered = [], (1 << len(minimal)) - 1
+        while uncovered:
+            hits = [(c & uncovered).bit_count() for c in covers]
+            best.append(hits.index(max(hits)))
+            uncovered &= ~covers[best[-1]]
+        best.sort()
+        best_size = len(best)
+    else:
+        best = None
+        best_size = max_size + 1
+    nodes = 0
+    chosen: list[int] = []
+
+    def packing_exceeds(uncovered: int, allowed: int, slack: int) -> bool:
+        # True once pairwise-disjoint uncovered sets, restricted to the
+        # allowed elements, outnumber the slack (each needs its own element)
+        # or one of them has no allowed element left: either way the branch
+        # cannot beat best_size
+        taken = count = 0
+        u = uncovered
+        while u:
+            i = (u & -u).bit_length() - 1
+            u &= u - 1
+            m = minimal[i] & allowed
+            if not m:
+                return True
+            if not m & taken:
+                count += 1
+                if count > slack:
+                    return True
+                taken |= m
+        return False
+
+    def dfs(uncovered: int, allowed: int):
+        nonlocal best, best_size, nodes
+        nodes += 1
+        if budget is not None and nodes > budget:
+            raise BudgetExceeded(f"node budget {budget} exceeded")
+        if not uncovered:
+            if len(chosen) < best_size:
+                best_size = len(chosen)
+                best = sorted(chosen)
+            return
+        slack = best_size - len(chosen) - 1
+        if slack <= 0 or packing_exceeds(uncovered, allowed, slack):
+            return
+        pivot = minimal[(uncovered & -uncovered).bit_length() - 1] & allowed
+        elems = []
+        m = pivot
+        while m:
+            e = (m & -m).bit_length() - 1
+            m &= m - 1
+            elems.append((-(covers[e] & uncovered).bit_count(), e))
+        elems.sort()
+        for _, e in elems:
+            chosen.append(e)
+            dfs(uncovered & ~covers[e], allowed)
+            chosen.pop()
+            allowed &= ~(1 << e)  # sibling exclusion (see the docstring)
+
+    dfs((1 << len(minimal)) - 1, (1 << n_elements) - 1)
+    return (None if best is None else tuple(best)), nodes
+
+
+@pytest.fixture(scope="session")
+def reference_minimum_hitting_set():
+    return _reference_minimum_hitting_set

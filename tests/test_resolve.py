@@ -575,6 +575,33 @@ def test_hitting_set_matches_search_without_exclusion(data):
     assert nodes <= reference_nodes
 
 
+def _outcome(search, sets, n, budget, max_size):
+    try:
+        return search(sets, n, budget, max_size=max_size)
+    except resolve.BudgetExceeded:
+        return resolve.BudgetExceeded
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(data=st.data())
+def test_hitting_set_matches_reference_search(reference_minimum_hitting_set, data):
+    """Same solution, same node count and the same budget outcome as the
+    search that scans every uncovered set for its packing bound and
+    recurses into the last level."""
+    n = data.draw(st.integers(1, 14), label="elements")
+    sets = data.draw(
+        st.lists(st.integers(1, (1 << n) - 1), max_size=30), label="sets"
+    )
+    max_size = data.draw(st.none() | st.integers(0, n), label="max_size")
+    expected = reference_minimum_hitting_set(sets, n, None, max_size=max_size)
+    assert _minimum_hitting_set(sets, n, None, max_size=max_size) == expected
+    nodes = expected[1]
+    for budget in {1, nodes - 1, nodes, nodes + 1} - {0}:
+        assert _outcome(_minimum_hitting_set, sets, n, budget, max_size) == _outcome(
+            reference_minimum_hitting_set, sets, n, budget, max_size
+        ), budget
+
+
 @pytest.mark.parametrize(
     "name, max_size, solution, nodes",
     [
@@ -582,6 +609,7 @@ def test_hitting_set_matches_search_without_exclusion(data):
         ("pg3", 6, None, 4_585),
         ("hstd8", 5, None, 9_801),
         ("ba4", None, (0, 5, 11, 22, 25, 29), 8_998),
+        ("ba5", 7, None, 305_433),  # mu(BA(5)) >= 8
     ],
 )
 def test_hitting_set_node_counts(corpus_graphs, name, max_size, solution, nodes):
@@ -657,6 +685,7 @@ def test_metric_dimension_projective_plane_order_four(corpus_graphs):
     g = corpus_graphs["pg4"]
     result = dd.metric_dimension(g, limit=42)
     assert result.optimal and result.mu == 10
+    assert result.landmarks == (1, 2, 4, 5, 8, 21, 23, 29, 31, 39)
     assert dd.is_resolving(g, result.landmarks)
 
 
