@@ -310,6 +310,12 @@ def _minimum_hitting_set(sets, n_elements: int, budget: int | None, max_size: in
     and the first optimum found is the one the search without exclusion
     finds.  The disjoint-packing lower bound counts uncovered sets by their
     allowed elements and prunes a branch in which an uncovered set has none.
+    It walks only its picks, at most slack + 1 of them: the lowest uncovered
+    set, after which every set an allowed element of it hits is cleared,
+    which leaves the picks of a scan in index order.  At the last level
+    (one element left to beat best_size) every child is a cover or pruned
+    at once, so the children are counted without recursion and the first
+    cover in branch order is kept; nodes visited are the recursive count.
     With max_size given, searches only for solutions of at most that size
     and returns None when a complete search finds no such solution.  A
     budget below 1 raises ValueError, a search past the budget
@@ -323,12 +329,12 @@ def _minimum_hitting_set(sets, n_elements: int, budget: int | None, max_size: in
     for m in uniq:
         if not any(kept & m == kept for kept in minimal):
             minimal.append(m)
+    members = [list(_bits(m)) for m in minimal]  # set index -> its elements
     covers = [0] * n_elements  # element -> bitmask of set indices it hits
-    for i, m in enumerate(minimal):
-        while m:
-            e = (m & -m).bit_length() - 1
-            m &= m - 1
+    for i, elements in enumerate(members):
+        for e in elements:
             covers[e] |= 1 << i
+    misses = [~c for c in covers]
     if max_size is None:
         # greedy upper bound: the element hitting the most uncovered sets,
         # lowest index on ties
@@ -349,20 +355,20 @@ def _minimum_hitting_set(sets, n_elements: int, budget: int | None, max_size: in
         # True once pairwise-disjoint uncovered sets, restricted to the
         # allowed elements, outnumber the slack (each needs its own element)
         # or one of them has no allowed element left: either way the branch
-        # cannot beat best_size
-        taken = count = 0
-        u = uncovered
-        while u:
-            i = (u & -u).bit_length() - 1
-            u &= u - 1
-            m = minimal[i] & allowed
-            if not m:
+        # cannot beat best_size.  Picks the lowest uncovered set, then clears
+        # every set an allowed element of the pick hits; a set with no
+        # allowed element is never cleared, so it is still reached
+        count = 0
+        while uncovered:
+            i = (uncovered & -uncovered).bit_length() - 1
+            if not minimal[i] & allowed:
                 return True
-            if not m & taken:
-                count += 1
-                if count > slack:
-                    return True
-                taken |= m
+            count += 1
+            if count > slack:
+                return True
+            for e in members[i]:
+                if allowed >> e & 1:
+                    uncovered &= misses[e]
         return False
 
     def dfs(uncovered: int, allowed: int):
@@ -378,17 +384,28 @@ def _minimum_hitting_set(sets, n_elements: int, budget: int | None, max_size: in
         slack = best_size - len(chosen) - 1
         if slack <= 0 or packing_exceeds(uncovered, allowed, slack):
             return
-        pivot = minimal[(uncovered & -uncovered).bit_length() - 1] & allowed
-        elems = []
-        m = pivot
-        while m:
-            e = (m & -m).bit_length() - 1
-            m &= m - 1
-            elems.append((-(covers[e] & uncovered).bit_count(), e))
-        elems.sort()
+        pivot = (uncovered & -uncovered).bit_length() - 1
+        if slack == 1:
+            # every child is a cover or a node at slack 0: count them all, and
+            # keep the first cover in (-hits, e) order, the lowest element
+            # hitting every uncovered set
+            nodes += (minimal[pivot] & allowed).bit_count()
+            if budget is not None and nodes > budget:
+                raise BudgetExceeded(f"node budget {budget} exceeded")
+            for e in members[pivot]:
+                if allowed >> e & 1 and not uncovered & misses[e]:
+                    best_size = len(chosen) + 1
+                    best = sorted([*chosen, e])
+                    return
+            return
+        elems = sorted(
+            (-(covers[e] & uncovered).bit_count(), e)
+            for e in members[pivot]
+            if allowed >> e & 1
+        )
         for _, e in elems:
             chosen.append(e)
-            dfs(uncovered & ~covers[e], allowed)
+            dfs(uncovered & misses[e], allowed)
             chosen.pop()
             allowed &= ~(1 << e)  # sibling exclusion (see the docstring)
 
