@@ -396,7 +396,7 @@ def _minimum_hitting_set(sets, n_elements: int, budget: int | None, max_size: in
                 if allowed >> e & 1 and not uncovered & misses[e]:
                     best_size = len(chosen) + 1
                     best = sorted([*chosen, e])
-                    return
+                    break
             return
         elems = sorted(
             (-(covers[e] & uncovered).bit_count(), e)

@@ -589,8 +589,12 @@ def test_hitting_set_matches_reference_search(reference_minimum_hitting_set, dat
     search that scans every uncovered set for its packing bound and
     recurses into the last level."""
     n = data.draw(st.integers(1, 14), label="elements")
+    # a drawn length: hypothesis keeps list lengths short, and the deeper
+    # searches need tens of sets
+    count = data.draw(st.integers(0, 30), label="count")
     sets = data.draw(
-        st.lists(st.integers(1, (1 << n) - 1), max_size=30), label="sets"
+        st.lists(st.integers(1, (1 << n) - 1), min_size=count, max_size=count),
+        label="sets",
     )
     max_size = data.draw(st.none() | st.integers(0, n), label="max_size")
     expected = reference_minimum_hitting_set(sets, n, None, max_size=max_size)
