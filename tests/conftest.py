@@ -6,7 +6,9 @@ from math import comb
 import pytest
 
 import designdim as dd
-from designdim.designs import _bits, _mask, pencil_masks
+from designdim.designs import (
+    _bits, _index_masks, _mask, _pair_count_violation, _parallel_classes, pencil_masks,
+)
 from designdim.fields import make_field, prime_power
 from designdim.resolve import BudgetExceeded, separator_masks
 
@@ -237,6 +239,133 @@ def _reference_incidence_graph(d):
 @pytest.fixture(scope="session")
 def reference_incidence_graph():
     return _reference_incidence_graph
+
+
+def _reference_pencils(d):
+    """For each point of d, the bitset of the blocks holding it, by one OR
+    per incidence."""
+    pencils = [0] * d.point_count
+    for j, blk in enumerate(d.blocks):
+        for x in blk:
+            pencils[x] |= 1 << j
+    return pencils
+
+
+def _reference_dual(d):
+    """Test oracle: the dual of a valid design as built before validation
+    kept it: each block the bits of a point's pencil mask, lowest first, and
+    a net's point classes the parallel classes of its blocks."""
+    pencils = _reference_pencils(d)
+    new_blocks = tuple(tuple(_bits(p)) for p in pencils)
+    if isinstance(d, dd.SymmetricDesign):
+        return dd.SymmetricDesign(v=d.v, k=d.k, lam=d.lam, blocks=new_blocks)
+    return dd.TransversalDesign(
+        g=d.g, k=d.k, lam=d.lam, classes=_parallel_classes(d, pencils), blocks=new_blocks
+    )
+
+
+@pytest.fixture(scope="session")
+def reference_dual():
+    return _reference_dual
+
+
+def _reference_side_violation(d, members, pencils, rows, nouns, classes=None):
+    """The block side checked as the point side with the roles swapped:
+    members are bitsets over the elements, pencils[x] the bitset and
+    rows[x] the list of the members holding element x."""
+    element, member = nouns
+    for j, m in enumerate(members):
+        if m.bit_count() != d.k:
+            return f"{member} {j} is incident with {m.bit_count()} {element}s, expected k = {d.k}"
+    class_masks = None
+    if classes is not None:
+        if (len(classes) != d.k or any(len(c) != d.g for c in classes)
+                or _mask(x for c in classes for x in c) != (1 << len(pencils)) - 1):
+            return (f"{element} classes do not split the {element}s"
+                    f" into k = {d.k} classes of g = {d.g}")
+        everyone = (1 << len(members)) - 1
+        class_masks = [0] * len(pencils)
+        for ci, c in enumerate(classes):
+            seen = twice = 0
+            cm = _mask(c)
+            for x in c:
+                class_masks[x] = cm
+                twice |= seen & pencils[x]
+                seen |= pencils[x]
+            if missed := twice | everyone & ~seen:
+                j = next(_bits(missed))
+                return f"{member} {j} does not meet {element} class {ci} exactly once"
+    if hit := _pair_count_violation(rows, members, d.lam, class_masks):
+        x, y, got, want = hit
+        return f"{element} pair ({x}, {y}) shares {got} {member}s, expected {want}"
+    return None
+
+
+def _reference_both_sides(d, bmasks):
+    pencils = _reference_pencils(d)
+    rows = [[] for _ in pencils]
+    for j, blk in enumerate(d.blocks):
+        for x in blk:
+            rows[x].append(j)
+    net = isinstance(d, dd.TransversalDesign)
+    classes = (d.classes, _parallel_classes(d, pencils)) if net else (None, None)
+    points = _reference_side_violation(d, bmasks, pencils, rows, ("point", "block"), classes[0])
+    blocks = _reference_side_violation(d, pencils, bmasks, d.blocks, ("block", "point"),
+                                       classes[1])
+    if net and blocks:
+        blocks = f"dual is not a transversal design: {blocks}"
+    return [hit for hit in (points, blocks) if hit]
+
+
+def _reference_violations(d):
+    """Test oracle: the violations validate_design reported before
+    validation kept the dual, in the same order and wording: the
+    parameters, then the point side, then the block side checked with the
+    roles of points and blocks swapped, with pencils from their own loop.
+    Nothing is kept on d."""
+    violations = []
+    if isinstance(d, dd.SymmetricDesign):
+        v, k, lam = d.v, d.k, d.lam
+        if v < 2:
+            violations.append(f"v = {v} must be at least 2")
+        if k - lam < 1:
+            violations.append(f"order k - lambda = {k - lam} must be positive")
+        if len(d.blocks) != v:
+            violations.append(f"block count {len(d.blocks)} != v = {v}")
+        else:
+            bmasks, bad = _index_masks(d.blocks, v, "block")
+            if bad:
+                return (*violations, bad)
+            violations += _reference_both_sides(d, bmasks)
+        q = k - lam
+        if q >= 2:
+            if not 4 * q - 1 <= v:
+                violations.append(f"order bound violated: 4q-1 = {4 * q - 1} > v = {v}")
+            if not v <= q * q + q + 1:
+                violations.append(f"order bound violated: v = {v} > q^2+q+1 = {q * q + q + 1}")
+        if lam < 1:
+            violations.append(f"lambda = {lam} must be at least 1")
+        return tuple(violations)
+    g, k, lam, v = d.g, d.k, d.lam, d.v
+    if k != lam * g:
+        violations.append(f"k = {k} != lambda*g = {lam * g}")
+    if len(d.blocks) != lam * g * g:
+        violations.append(f"block count {len(d.blocks)} != lambda*g^2 = {lam * g * g}")
+    if not violations:
+        if g < 2:
+            violations.append(f"class size g = {g} must be at least 2")
+        if lam < 1:
+            violations.append(f"lambda = {lam} must be at least 1")
+    if violations:
+        return tuple(violations)
+    bmasks, bad = _index_masks(d.blocks, v, "block")
+    bad = _index_masks(d.classes, v, "point class")[1] or bad
+    return (bad,) if bad else tuple(_reference_both_sides(d, bmasks))
+
+
+@pytest.fixture(scope="session")
+def reference_violations():
+    return _reference_violations
 
 
 def _reference_intersection_array(g):

@@ -491,6 +491,43 @@ def test_validators_agree_with_the_definitions(corpus, reference_valid, data):
     assert dd.validate_design(mutated).ok == reference_valid(mutated)
 
 
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(data=st.data())
+def test_violations_dual_and_graphs_match_the_references(
+        corpus, reference_violations, reference_dual, reference_incidence_graph, data):
+    """The mutants of test_validators_agree_with_the_definitions, with the
+    points of each block and point class listed in a drawn order (as an
+    unsorted file may list them): every violation in the same words and
+    order; for a valid mutant the same dual, masks and incidence graphs."""
+    d = corpus[data.draw(st.sampled_from(ORACLE_DESIGNS), label="design")]
+    kinds = ["none", "move", "swap-blocks", "repeat", "grow", "shrink"]
+    if isinstance(d, dd.TransversalDesign):
+        kinds.append("swap-classes")
+    kind = data.draw(st.sampled_from(kinds), label="mutation")
+    m = _mutate(d, kind, lambda strategy, label: data.draw(strategy, label=label))
+    if data.draw(st.booleans(), label="shuffle"):
+        rng = data.draw(st.randoms(use_true_random=False), label="order")
+
+        def shuffled(rows):
+            return tuple(tuple(rng.sample(row, len(row))) for row in rows)
+
+        m = dataclasses.replace(m, blocks=shuffled(m.blocks))
+        if isinstance(m, dd.TransversalDesign):
+            m = dataclasses.replace(m, classes=shuffled(m.classes))
+    report = dd.validate_design(m)
+    assert report.violations == reference_violations(m)
+    if not report.ok:
+        return
+    e, want = dd.dual(m), reference_dual(m)
+    assert e == want
+    assert designs.block_masks(e) == [designs._mask(b) for b in want.blocks]
+    assert designs.pencil_masks(e) == designs.block_masks(m)
+    for subject in (m, e):
+        got, ref = dd.incidence_graph(subject), reference_incidence_graph(subject)
+        for attr in ("n", "adj", "nbr", "layers", "part", "diameter", "point_count"):
+            assert getattr(got, attr) == getattr(ref, attr), attr
+
+
 def test_validators_agree_with_the_definitions_on_tiny_designs(reference_valid):
     """Every design of _tiny_designs, and every block tuple of the (2, 2, 1)
     net over class tuples that partition the points or fail to."""

@@ -798,9 +798,11 @@ def test_split_rejects_one_point_designs(d, violation):
 
 
 def test_split_then_verify_validates_and_builds_once(monkeypatch):
-    validated, built, checked = [], [], []
+    validated, built, checked, duals = [], [], [], []
     validate = designs.validate
     monkeypatch.setattr(designs, "validate", lambda d: validated.append(d) or validate(d))
+    build_dual = designs._build_dual
+    monkeypatch.setattr(designs, "_build_dual", lambda d: duals.append(build_dual(d)) or duals[-1])
     init = incidence.IncidenceGraph.__init__
     build_layers = incidence.IncidenceGraph._build_layers
 
@@ -823,6 +825,7 @@ def test_split_then_verify_validates_and_builds_once(monkeypatch):
     assert len(built) == 1
     # a design's graph comes from its validated bitsets, not the checked constructor
     assert len(checked) == 0
+    assert len(duals) == 1
 
 
 def test_split_unknown_method(fano):
