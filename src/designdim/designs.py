@@ -14,29 +14,29 @@ Hadamard-matrix symmetric net).  Correctness never rests on a construction:
 validate() / validate_std() are the one place that knows what a legal
 design is.  Each checks the parameters (a symmetric design needs v >= 2
 points, a positive order k - lambda and lambda >= 1, a net g >= 2 and
-lambda >= 1), then runs the same incidence check on the design and on its
-dual, counting every pair exhaustively; the report lists the parameter
-violations, then at most one violation per side.  Every valid design
-therefore has pairwise distinct pencils and a connected incidence graph,
-and the check is cheap at the scales this package targets (v up to a few
-thousand).
+lambda >= 1), then builds the dual from the design's pencil lists and
+runs the same incidence check on the points of each, counting every pair
+exhaustively; the report lists the parameter violations, then at most one
+violation per side.  Every valid design therefore has pairwise distinct
+pencils and a connected incidence graph, and the check is cheap at the
+scales this package targets (v up to a few thousand).
 
 All objects are immutable after construction and safe to share across
 threads.  Points and blocks are dense 0-based integer indices.
 
 Each design object is validated once and keeps its derived values on the
-instance: require_valid() stores the validation verdict on first use, and
-pencil_masks(), block_masks(), dual() and incidence.incidence_graph()
-their results (a dual also takes its verdict and its masks from its
-design).  Validation, the dual, the incidence graph, the solvers and the
-bounds thus share one set of incidence bitsets.  Concurrent first use may
-compute a value twice, which is harmless: the values are equal and
-immutable.  The validators themselves stay uncached.
+instance: require_valid() stores the verdict on first use, validation the
+dual it built and both sides' masks, and pencil_masks(), block_masks() and
+incidence.incidence_graph() their results (a dual takes its verdict and
+masks from its design).  Validation, the dual, the incidence graph, the
+solvers and the bounds thus share one set of incidence lists and bitsets.
+Concurrent first use may compute a value twice, which is harmless: the
+values are equal and immutable.  The validators keep no verdict.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .fields import make_field, prime_power
 
@@ -431,20 +431,21 @@ def _index_masks(rows, v: int, noun: str):
     return masks, None
 
 
-def _side_violation(d: Design, members, pencils, rows, nouns, classes=None) -> str | None:
-    """The first violation of the incidence rule on one side of d, or None.
-    members are bitsets over the elements, pencils[x] the bitset and
-    rows[x] the list of the members holding element x, nouns the
-    (element, member) names and classes a net's element classes.  The
-    rule: every member has k elements; the classes split the elements into
-    k classes of g and every member meets every class once; two elements
-    share lambda members, or none when one class holds both."""
+def _side_violation(d: Design, other: Design, nouns) -> str | None:
+    """The first violation of the incidence rule on the point side of d,
+    or None.  other is the dual of d: its blocks list, and its block masks
+    hold, the blocks of d through each point.  nouns are the (point, block)
+    names of d's side.  The rule: every block has k points; the point
+    classes of a net split the points into k classes of g and every block
+    meets every class once; two points share lambda blocks, or none when
+    one class holds both."""
     element, member = nouns
+    members, pencils = block_masks(d), block_masks(other)
     for j, m in enumerate(members):
         if m.bit_count() != d.k:
             return f"{member} {j} is incident with {m.bit_count()} {element}s, expected k = {d.k}"
     class_masks = None
-    if classes is not None:
+    if (classes := getattr(d, "classes", None)) is not None:
         if (len(classes) != d.k or any(len(c) != d.g for c in classes)
                 or _mask(x for c in classes for x in c) != (1 << len(pencils)) - 1):
             return (f"{element} classes do not split the {element}s"
@@ -461,7 +462,7 @@ def _side_violation(d: Design, members, pencils, rows, nouns, classes=None) -> s
             if missed := twice | everyone & ~seen:
                 j = next(_bits(missed))
                 return f"{member} {j} does not meet {element} class {ci} exactly once"
-    if hit := _pair_count_violation(rows, members, d.lam, class_masks):
+    if hit := _pair_count_violation(other.blocks, members, d.lam, class_masks):
         x, y, got, want = hit
         return f"{element} pair ({x}, {y}) shares {got} {member}s, expected {want}"
     return None
@@ -482,22 +483,16 @@ def _parallel_classes(d: TransversalDesign, pencils) -> tuple[tuple[int, ...], .
 
 
 def _both_sides(d: Design, bmasks) -> list[str]:
-    """The rule run on d, whose members are its blocks, and on its dual,
-    whose members are the point pencils: at most one violation per side.
-    A net's dual-side violation says that the dual is not a transversal
-    design.  bmasks, checked against the point range, are kept on d as its
-    block masks."""
+    """The rule run on d and on its dual, whose points are the blocks of d:
+    at most one violation per side.  The dual is built here, once, and kept
+    on d; a net's dual-side violation says that the dual is not a
+    transversal design.  bmasks, checked against the point range, are kept
+    on d as its block masks."""
     _derived(d, "block_masks", lambda d: tuple(bmasks))
-    pencils = pencil_masks(d)
-    rows = [[] for _ in pencils]
-    for j, blk in enumerate(d.blocks):
-        for x in blk:
-            rows[x].append(j)
-    net = isinstance(d, TransversalDesign)
-    classes = (d.classes, _parallel_classes(d, pencils)) if net else (None, None)
-    points = _side_violation(d, bmasks, pencils, rows, ("point", "block"), classes[0])
-    blocks = _side_violation(d, pencils, bmasks, d.blocks, ("block", "point"), classes[1])
-    if net and blocks:
+    e = _derived(d, "dual", _build_dual)
+    points = _side_violation(d, e, ("point", "block"))
+    blocks = _side_violation(e, d, ("block", "point"))
+    if blocks and isinstance(d, TransversalDesign):
         blocks = f"dual is not a transversal design: {blocks}"
     return [hit for hit in (points, blocks) if hit]
 
@@ -577,24 +572,26 @@ def dual(d: Design) -> Design:
     """Swap the roles of points and blocks.  For a symmetric design the
     parameters are unchanged; for a symmetric transversal design the dual's
     point classes are the parallel classes of the input.  Computed once per
-    design object; every call returns the same dual."""
+    design object, by its validation; every call returns the same dual."""
     require_valid(d)
-    return _derived(d, "dual", _build_dual)
+    e = _derived(d, "dual", _build_dual)
+    # d's check ran on both of its sides, which are the two sides of e
+    _derived(e, "validation", lambda e: _derived(d, "validation", validate_design))
+    return e
 
 
 def _build_dual(d: Design) -> Design:
-    pencils = pencil_masks(d)
-    new_blocks = tuple(tuple(_bits(p)) for p in pencils)
-    if isinstance(d, SymmetricDesign):
-        e = SymmetricDesign(v=d.v, k=d.k, lam=d.lam, blocks=new_blocks)
-    else:
-        e = TransversalDesign(
-            g=d.g, k=d.k, lam=d.lam, classes=_parallel_classes(d, pencils), blocks=new_blocks
-        )
-    # d's check ran on both of its sides, which are the two sides of e,
-    # and the pencils of each are the block masks of the other
-    _derived(e, "validation", lambda e: _derived(d, "validation", validate_design))
-    _derived(e, "block_masks", lambda e: tuple(pencils))
+    """The dual of d: its blocks are d's pencils as ascending tuples, one
+    append per incidence, and the pencil masks of each side are the block
+    masks of the other.  d's blocks must lie in the point range."""
+    rows = [[] for _ in range(d.point_count)]
+    for j, blk in enumerate(d.blocks):
+        for x in blk:
+            rows[x].append(j)
+    pencils = _derived(d, "pencil_masks", lambda d: tuple(map(_mask, rows)))
+    classes = {"classes": _parallel_classes(d, pencils)} if hasattr(d, "classes") else {}
+    e = replace(d, blocks=tuple(map(tuple, rows)), **classes)
+    _derived(e, "block_masks", lambda e: pencils)
     _derived(e, "pencil_masks", lambda e: tuple(block_masks(d)))
     return e
 

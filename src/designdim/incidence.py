@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .designs import (
-    Design, _bits, _derived, _tally, _tally_is, block_masks, content_lines, int_line,
-    pencil_masks, require_valid,
+    Design, _bits, _derived, _tally, _tally_is, block_masks, content_lines, dual, int_line,
+    require_valid,
 )
 
 
@@ -32,9 +32,9 @@ class IncidenceGraph:
 
     IncidenceGraph(adjacency, point_count) is the checked entry point: it
     sorts and dedupes the adjacency lists and rejects a bad neighbor or an
-    asymmetric edge.  The graph of a design (incidence_graph) takes adj and
-    nbr straight from the design's validated bitsets instead.  Both then
-    build the layers in the same step, by ball BFS over nbr.
+    asymmetric edge.  The graph of a design (incidence_graph) takes adj from
+    the block lists of the design and of its dual, and nbr from the masks
+    validation kept, unchecked.  Both build the layers by ball BFS over nbr.
     """
 
     __slots__ = ("n", "adj", "nbr", "layers", "part", "point_count", "diameter")
@@ -100,12 +100,15 @@ def incidence_graph(d: Design) -> IncidenceGraph:
 
 
 def _build_incidence_graph(d: Design) -> IncidenceGraph:
-    """The graph from the validated bitsets: point x's neighbors are its
-    pencil shifted past the points, block j's are its block mask."""
+    """The graph from the validated design: point x's neighbors are the
+    blocks of the dual through x shifted past the points, and block j's are
+    its points; the bitsets are the masks validation kept."""
     v = d.point_count
-    nbr = tuple([p << v for p in pencil_masks(d)] + block_masks(d))
+    e = dual(d)
+    adj = tuple([tuple(v + j for j in p) for p in e.blocks] + [tuple(sorted(b)) for b in d.blocks])
+    nbr = tuple([p << v for p in block_masks(e)] + block_masks(d))
     g = IncidenceGraph.__new__(IncidenceGraph)  # validation did the constructor's checks
-    g._build_layers(tuple(tuple(_bits(m)) for m in nbr), nbr, v)
+    g._build_layers(adj, nbr, v)
     return g
 
 

@@ -826,6 +826,10 @@ def test_split_then_verify_validates_and_builds_once(monkeypatch):
     # a design's graph comes from its validated bitsets, not the checked constructor
     assert len(checked) == 0
     assert len(duals) == 1
+    # validation builds the dual and keeps it: dual() hands out that one
+    e = dd.projective_plane(2)
+    assert dd.validate_design(e).ok and len(duals) == 2
+    assert dd.dual(e) is duals[-1] and len(duals) == 2
 
 
 def test_split_unknown_method(fano):
