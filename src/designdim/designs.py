@@ -571,8 +571,8 @@ def validate_design(d: Design) -> ValidationReport:
 def dual(d: Design) -> Design:
     """Swap the roles of points and blocks.  For a symmetric design the
     parameters are unchanged; for a symmetric transversal design the dual's
-    point classes are the parallel classes of the input.  Computed once per
-    design object, by its validation; every call returns the same dual."""
+    point classes are the parallel classes of the input.  Built once per
+    design object, by its validation if that ran; every call returns it."""
     require_valid(d)
     e = _derived(d, "dual", _build_dual)
     # d's check ran on both of its sides, which are the two sides of e
