@@ -324,17 +324,17 @@ def test_require_valid_computes_the_verdict_once(monkeypatch):
 
 def test_dual_takes_the_verdict_of_its_design(corpus, monkeypatch):
     """Validating a design checks both of its sides, which are the two
-    sides of its dual: the dual is not validated again, and validating it
-    afresh agrees."""
+    sides of its dual: the dual is not checked again, and checking a copy
+    of it, with nothing kept, agrees."""
     calls = []
-    validate_design = designs.validate_design
-    monkeypatch.setattr(designs, "validate_design",
-                        lambda d: calls.append(d) or validate_design(d))
+    for check in ("validate", "validate_std"):
+        monkeypatch.setattr(designs, check,
+                            lambda d, check=getattr(designs, check): calls.append(d) or check(d))
     for name, d in corpus.items():
         fresh = dataclasses.replace(d)  # a new object, with nothing kept on it
         dd.require_valid(dd.dual(fresh))
         assert calls == [fresh], name
-        assert validate_design(dd.dual(fresh)).ok, name
+        assert dd.validate_design(dataclasses.replace(dd.dual(fresh))).ok, name
         calls.clear()
 
 
