@@ -11,27 +11,28 @@ a transversal design (forcing k = lambda*g and lambda*g^2 blocks).
 Constructors here are the standard ones (projective planes over GF(q),
 Sylvester/Paley Hadamard matrices, biaffine planes from AG(2, q), the
 Hadamard-matrix symmetric net).  Correctness never rests on a construction:
-validate() / validate_std() are the one place that knows what a legal
-design is.  Each checks the parameters (a symmetric design needs v >= 2
-points, a positive order k - lambda and lambda >= 1, a net g >= 2 and
-lambda >= 1), then builds the dual from the design's pencil lists and
-runs the same incidence check on the points of each, counting every pair
-exhaustively; the report lists the parameter violations, then at most one
-violation per side.  Every valid design therefore has pairwise distinct
-pencils and a connected incidence graph, and the check is cheap at the
-scales this package targets (v up to a few thousand).
+validate_design() decides a design's verdict through its per-type checks
+validate() and validate_std().  Each checks the parameters (a symmetric
+design needs v >= 2 points, a positive order k - lambda and lambda >= 1, a
+net g >= 2 and lambda >= 1), then builds the dual from the design's pencil
+lists and runs the same incidence check on the points of each, counting
+every pair exhaustively; the report lists the parameter violations, then at
+most one violation per side.  Every valid design therefore has pairwise
+distinct pencils and a connected incidence graph, and the check is cheap at
+the scales this package targets (v up to a few thousand).
 
 All objects are immutable after construction and safe to share across
 threads.  Points and blocks are dense 0-based integer indices.
 
 Each design object is validated once and keeps its derived values on the
-instance: require_valid() stores the verdict on first use, validation the
-dual it built and both sides' masks, and pencil_masks(), block_masks() and
-incidence.incidence_graph() their results (a dual takes its verdict and
-masks from its design).  Validation, the dual, the incidence graph, the
-solvers and the bounds thus share one set of incidence lists and bitsets.
-Concurrent first use may compute a value twice, which is harmless: the
-values are equal and immutable.  The validators keep no verdict.
+instance: validate_design() keeps the report that require_valid() reads,
+validation the dual it built and both sides' masks, and pencil_masks(),
+block_masks() and incidence.incidence_graph() their results (a dual takes
+its verdict and masks from its design).  Validation, the dual, the incidence
+graph, the solvers and the bounds thus share one set of incidence lists and
+bitsets.  Concurrent first use may compute a value twice, which is harmless:
+the values are equal and immutable.  validate() and validate_std() keep no
+verdict: each call checks afresh.
 """
 
 from __future__ import annotations
@@ -127,9 +128,8 @@ def _derived(d: Design, name: str, compute):
 
 def require_valid(d: Design) -> None:
     """Raise InvalidDesign naming the first violated axiom unless d
-    validates.  The verdict is computed once per design object."""
-    report = _derived(d, "validation", validate_design)
-    if not report.ok:
+    validates: the gate over validate_design's kept verdict."""
+    if not (report := validate_design(d)).ok:
         raise InvalidDesign(f"design does not validate: {report.violations[0]}")
 
 
@@ -558,10 +558,10 @@ def validate_std(d: TransversalDesign) -> ValidationReport:
 
 
 def validate_design(d: Design) -> ValidationReport:
-    """Dispatch to validate() or validate_std() by type."""
-    if isinstance(d, SymmetricDesign):
-        return validate(d)
-    return validate_std(d)
+    """d's verdict: validate() or validate_std() by type, run once per
+    design object; every call returns the kept report."""
+    check = validate if isinstance(d, SymmetricDesign) else validate_std
+    return _derived(d, "validation", check)
 
 
 # ---------------------------------------------------------------------------
@@ -572,11 +572,11 @@ def dual(d: Design) -> Design:
     """Swap the roles of points and blocks.  For a symmetric design the
     parameters are unchanged; for a symmetric transversal design the dual's
     point classes are the parallel classes of the input.  Built once per
-    design object, by its validation if that ran; every call returns it."""
+    design object, by its validation; every call returns it.  d's check ran
+    on both sides of the dual, which keeps d's verdict."""
     require_valid(d)
     e = _derived(d, "dual", _build_dual)
-    # d's check ran on both of its sides, which are the two sides of e
-    _derived(e, "validation", lambda e: _derived(d, "validation", validate_design))
+    _derived(e, "validation", lambda e: validate_design(d))
     return e
 
 

@@ -320,6 +320,16 @@ def test_require_valid_computes_the_verdict_once(monkeypatch):
         with pytest.raises(ValueError, match="^design does not validate: point pair"):
             dd.require_valid(broken)
     assert len(calls) == 2
+    # validate_design keeps the verdict that everything behind the gate reads
+    calls.clear()
+    plane = dd.projective_plane(3)
+    report = dd.validate_design(plane)
+    dd.dual(plane)
+    dd.incidence_graph(plane)
+    dd.greedy_semi_resolving(plane)
+    dd.require_valid(plane)
+    assert calls == [plane]
+    assert dd.validate_design(plane) is report
 
 
 def test_dual_takes_the_verdict_of_its_design(corpus, monkeypatch):
