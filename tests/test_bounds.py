@@ -284,6 +284,23 @@ def test_exhaustive_matches_reference_enumeration(corpus, small_corpus, referenc
             ), (name, s)
 
 
+def test_exhaustive_on_narrow_tables_matches_reference(small_corpus, reference_subset_average,
+                                                       monkeypatch):
+    """With 4-block truth tables every design of the small corpus and its
+    dual walks many chunks of high blocks; both exhaustive averages still
+    equal the one-subset-at-a-time reference at every s."""
+    monkeypatch.setattr(dd.bounds, "TABLE_BITS", 4)
+    designs = {**small_corpus, **{f"dual {n}": dd.dual(d) for n, d in small_corpus.items()}}
+    for name, d in designs.items():
+        for s in range(d.v + 1):
+            assert dd.exhaustive_expected_unresolved(d, s) == reference_subset_average(
+                d, s, lambda seps, smask: sum(1 for sep in seps if not sep & smask)
+            ), (name, s)
+            assert dd.exhaustive_success_rate(d, s) == reference_subset_average(
+                d, s, lambda seps, smask: all(sep & smask for sep in seps)
+            ), (name, s)
+
+
 def test_exhaustive_past_one_table_on_pg4(corpus):
     """PG(2,4) has v = 21 blocks, 5 past one truth table: the outer loop
     over their assignments still gives the closed form at every s, no

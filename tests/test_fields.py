@@ -1,6 +1,6 @@
 import pytest
 
-from designdim.fields import is_prime, make_field, prime_power
+from designdim.fields import _monic_polys, is_prime, make_field, prime_power
 
 SMALL_ORDERS = [q for q in range(2, 65) if prime_power(q) is not None]
 EXTENSION_ORDERS = [q for q in range(2, 257) if (pp := prime_power(q)) and pp[1] >= 2]
@@ -137,3 +137,15 @@ def test_is_prime_matches_a_sieve():
             for m in range(n * n, limit, n):
                 sieve[m] = False
     assert [is_prime(n) for n in range(-5, limit)] == [False] * 5 + sieve
+
+
+@pytest.mark.parametrize("p, degree", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3),
+                                       (5, 2), (7, 2)])
+def test_monic_polys_count_up_the_low_coefficients(p, degree):
+    """p^degree distinct monic polynomials, in increasing order of the
+    base-p number whose digits are their low coefficients, constant
+    digit lowest: the order that picks every canonical modulus."""
+    polys = list(_monic_polys(degree, p))
+    assert len(set(polys)) == len(polys) == p**degree
+    assert all(len(c) == degree + 1 and c[-1] == 1 for c in polys)
+    assert [_undigits(c[:-1], p) for c in polys] == list(range(p**degree))

@@ -88,6 +88,23 @@ def test_edge_text_round_trips_random_connected_graphs(g):
     assert h.point_count == g.point_count
 
 
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(g=connected_graphs(), data=st.data())
+def test_edge_text_rejects_a_repeated_edge(g, data):
+    """One edge line repeated at a later position, in either orientation,
+    with the header's edge count raised to match: a duplicate edge."""
+    header, *edges = dd.to_edge_text(g).splitlines()
+    i = data.draw(st.integers(0, len(edges) - 1), label="edge")
+    repeat = edges[i]
+    if data.draw(st.booleans(), label="reversed"):
+        repeat = " ".join(reversed(repeat.split()))
+    edges.insert(data.draw(st.integers(i + 1, len(edges)), label="at"), repeat)
+    _, n, m, bip = header.split()
+    text = "\n".join([f"G {n} {int(m) + 1} {bip}", *edges]) + "\n"
+    with pytest.raises(ValueError, match="^duplicate edge"):
+        dd.from_edge_text(text)
+
+
 FANO_BODY = "0 1 2\n0 3 4\n0 5 6\n1 3 5\n1 4 6\n2 3 6\n2 4 5\n"
 
 
