@@ -39,11 +39,12 @@ from dataclasses import dataclass
 from decimal import Decimal, getcontext, localcontext
 from fractions import Fraction
 from functools import reduce
+from itertools import combinations
 from math import comb
 from operator import or_
 
 from .designs import (
-    Design, SymmetricDesign, _bits, _tally, _tally_is, pencil_masks, projective_plane,
+    Design, SymmetricDesign, _bits, _mask, _tally, _tally_is, pencil_masks, projective_plane,
 )
 from .fields import prime_power
 from .resolve import _sample_bound, _seeded_samples, _signature_collision, separator_masks
@@ -312,19 +313,6 @@ def _truth_tables(w: int) -> list[int]:
     return var
 
 
-def _masks_by_count(n: int, counts: range):
-    """Every n-bit mask whose popcount is in counts, each count in
-    increasing order of mask (Gosper's next-combination step)."""
-    for c in counts:
-        x = (1 << c) - 1
-        while not x >> n:
-            yield x
-            if not (low := x & -x):
-                break
-            ripple = x + low
-            x = ripple | ((x ^ ripple) >> 2) // low
-
-
 def _subset_average(d: Design, s: int, score) -> Fraction:
     """The exact average over every s-subset of the blocks, by full
     enumeration in truth tables.  The first TABLE_BITS blocks span one
@@ -342,15 +330,15 @@ def _subset_average(d: Design, s: int, score) -> Fraction:
     full, low = (1 << (1 << w)) - 1, (1 << w) - 1
     separators = separator_masks(pencil_masks(d))
     total = 0
-    for high in _masks_by_count(v - w, range(max(0, s - w), min(s, v - w) + 1)):
-        high <<= w
-        size = _tally_is(planes, s - high.bit_count(), full)
-        misses = (
-            size & ~reduce(or_, map(var.__getitem__, _bits(sep & low)), 0)
-            for sep in separators
-            if not sep & high
-        )
-        total += score(size, misses)
+    for j in range(max(0, s - w), min(s, v - w) + 1):
+        size = _tally_is(planes, s - j, full)
+        for high in map(_mask, combinations(range(w, v), j)):
+            misses = (
+                size & ~reduce(or_, map(var.__getitem__, _bits(sep & low)), 0)
+                for sep in separators
+                if not sep & high
+            )
+            total += score(size, misses)
     return Fraction(total, comb(v, s))
 
 

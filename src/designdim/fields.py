@@ -10,6 +10,8 @@ capped at MAX_FIELD_SIZE elements.
 
 from __future__ import annotations
 
+import itertools
+
 MAX_FIELD_SIZE = 1 << 16
 
 
@@ -64,14 +66,9 @@ def _poly_rem(a, mod, p) -> tuple[int, ...]:
 
 
 def _monic_polys(degree, p):
-    """All monic polynomials of the given degree, lexicographically by the
-    base-p encoding of their low coefficients (deterministic order)."""
-    for n in range(p**degree):
-        c, m = [], n
-        for _ in range(degree):
-            c.append(m % p)
-            m //= p
-        yield tuple(c) + (1,)
+    """All monic polynomials of the given degree, in increasing order of the
+    base-p number their low coefficients spell, constant digit lowest."""
+    return (c[::-1] + (1,) for c in itertools.product(range(p), repeat=degree))
 
 
 def _is_irreducible(poly, p) -> bool:

@@ -7,12 +7,12 @@ block set S separates points x and y exactly when B(x) & S != B(y) & S
 (S meets the pencil symmetric difference B(x) ^ B(y)).  Every separation
 question is answered by grouping points into signature classes by
 B(x) & S: the first repeated signature is the witness, and the class sizes
-give the unresolved-pair count.  The one greedy refines these classes by
-the candidate (a block, or a vertex's distance layers) splitting the most
-same-class pairs; exact search is a minimum hitting set over per-pair
-separator sets, a branch and bound in which each sibling branch excludes
-the elements its earlier siblings took, so every candidate set is searched
-once rather than once per order in which the pivots reach it.
+give the unresolved-pair count.  The refinement greedy takes the candidate
+(a block, or a vertex's distance layers) splitting the most same-class
+pairs.  Exact search, a minimum hitting set over per-pair separator sets,
+starts from its own eager greedy over the minimal sets and branches so
+that each sibling excludes the elements its earlier siblings took: every
+candidate set is searched once, not once per order of the pivots.
 
 Point pairs x < y are taken y-major (by y, then by x); reported witnesses
 are the first pair in that order.  All randomness is one seeded sample
