@@ -12,7 +12,10 @@ give the unresolved-pair count.  The refinement greedy takes the candidate
 pairs.  Exact search, a minimum hitting set over per-pair separator sets,
 starts from its own eager greedy over the minimal sets and branches so
 that each sibling excludes the elements its earlier siblings took: every
-candidate set is searched once, not once per order of the pivots.
+candidate set is searched once, not once per order of the pivots.  A
+capped refutation also hits one representative per vertex orbit, from
+automorphisms found by individualize and refine and each checked edge by
+edge; a found set still comes from the plain search.
 
 Point pairs x < y are taken y-major (by y, then by x); reported witnesses
 are the first pair in that order.  All randomness is one seeded sample
@@ -410,6 +413,7 @@ def _minimum_hitting_set(sets, n_elements: int, budget: int | None, max_size: in
             allowed &= ~(1 << e)  # sibling exclusion (see the docstring)
 
     dfs((1 << len(minimal)) - 1, (1 << n_elements) - 1)
+    del dfs  # no self-reference left: the tables go on return, not at a collection
     return (None if best is None else tuple(best)), nodes
 
 
@@ -484,15 +488,99 @@ def metric_dimension(
     )
 
 
+_ORBIT_NODE_CAP = 1_000  # search nodes per target vertex in _orbit_representatives
+
+
+def _orbit_representatives(g: IncidenceGraph) -> tuple[int, list[list[int]]]:
+    """The bitset of the least vertex of each orbit found under the
+    automorphisms of g, and the automorphisms found (as vertex maps), by
+    individualize and refine over the distance layers.  Individualizing a
+    vertex splits every cell by its distance layers; a target vertex is
+    tried only when its parts match the source's in distance and size.  A
+    discrete partition pairs the vertices into a map, used only once
+    checked to be a bijection taking every edge to an edge; each verified
+    map merges its cycles into orbits (a union-find whose roots are the
+    least vertices).  Every vertex t not yet merged is
+    tried as the image of each earlier root, within _ORBIT_NODE_CAP nodes
+    per target; a target past the cap keeps its own class, so a missed
+    automorphism costs speed, never soundness."""
+    n = g.n
+    root, found = list(range(n)), []
+
+    def find(x: int) -> int:
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
+
+    def refine(cells, u):
+        # the nonempty parts, and as the key the size of every (cell, layer)
+        # part, empty ones too, so that positions stand for distances
+        parts = [c & layer for c in cells for layer in g.layers[u]]
+        return [p for p in parts if p], [p.bit_count() for p in parts]
+
+    def extend(src, dst):
+        # a verified automorphism taking each cell of src onto that of dst, or None
+        nonlocal nodes
+        nodes += 1
+        j = next((j for j, c in enumerate(src) if c & (c - 1)), None)
+        if j is None:
+            sigma = [0] * n
+            for a, b in zip(src, dst):
+                sigma[a.bit_length() - 1] = b.bit_length() - 1
+            edges_kept = all(
+                sum(1 << sigma[x] for x in g.adj[u]) == g.nbr[sigma[u]] for u in range(n)
+            )
+            return sigma if edges_kept and len(set(sigma)) == n else None
+        cells, key = refine(src, (src[j] & -src[j]).bit_length() - 1)
+        for w in _bits(dst[j]):
+            if nodes >= _ORBIT_NODE_CAP:
+                return None
+            images, image_key = refine(dst, w)
+            if image_key == key and (sigma := extend(cells, images)):
+                return sigma
+        return None
+
+    for t in range(1, n):
+        if find(t) != t:
+            continue
+        nodes = 0
+        images, image_key = refine([(1 << n) - 1], t)
+        for r in range(t):
+            if find(r) != r:
+                continue
+            cells, key = refine([(1 << n) - 1], r)
+            if key == image_key and (sigma := extend(cells, images)):
+                found.append(sigma)
+                for x, y in enumerate(sigma):
+                    a, b = find(x), find(y)
+                    root[max(a, b)] = min(a, b)
+                break
+    del extend  # as in _minimum_hitting_set
+    return sum(1 << r for r in range(n) if find(r) == r), found
+
+
 def find_resolving_set(
     g: IncidenceGraph, max_size: int, budget: int | None = None
 ) -> tuple[int, ...] | None:
     """Complete search for a resolving set with at most max_size vertices.
     None certifies that none exists (so the metric dimension exceeds
-    max_size); otherwise the smallest set within the cap is returned."""
+    max_size); otherwise the smallest set within the cap is returned, the
+    one the plain capped search finds.  The certificate rests on verified
+    automorphisms: one maps a resolving set onto another of the same size,
+    so if a nonempty one fits the cap, so does its image under an
+    automorphism taking one of its vertices to that vertex's orbit
+    representative.  The refuting search therefore takes
+    _orbit_representatives(g) as one more set to hit (not on one vertex,
+    where the empty set resolves); when it finds a set, the plain search
+    runs again.  The budget bounds each search."""
     if max_size < 0:
         raise ValueError(f"max_size = {max_size} must be nonnegative")
     sets = _vertex_separator_sets(g)
+    if sets and _minimum_hitting_set(
+        [*sets, _orbit_representatives(g)[0]], g.n, budget, max_size=max_size
+    )[0] is None:
+        return None
     solution, _ = _minimum_hitting_set(sets, g.n, budget, max_size=max_size)
     if solution is not None:
         assert is_resolving(g, solution)

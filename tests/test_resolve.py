@@ -14,6 +14,7 @@ from designdim import designs, incidence, resolve
 from designdim.designs import pencil_masks
 from designdim.resolve import (
     _minimum_hitting_set,
+    _orbit_representatives,
     _vertex_separator_sets,
     separator_masks,
     side_resolving_witness,
@@ -715,6 +716,125 @@ def test_biaffine_metric_dimension_bounds(corpus, corpus_graphs):
             break
     assert upper_witness is not None  # mu <= 9 = 3q-6
     assert dd.find_resolving_set(g5, 7) is None  # mu >= 8 = 2q-2
+
+
+def test_find_resolving_set_edge_cases(fano):
+    # the empty set resolves one vertex: no orbit set to hit
+    assert dd.find_resolving_set(dd.IncidenceGraph([[]]), 0) == ()
+    for g in (dd.IncidenceGraph([[1], [0]]), _eight_cycle(), dd.incidence_graph(fano)):
+        assert dd.find_resolving_set(g, 0) is None
+    assert dd.find_resolving_set(dd.IncidenceGraph([[1], [0]]), 1) == (0,)
+    with pytest.raises(resolve.BudgetExceeded):  # the budget bounds each search
+        dd.find_resolving_set(dd.incidence_graph(fano), 3, budget=2)
+
+
+# ---------------------------------------------------------------------------
+# orbit representatives
+# ---------------------------------------------------------------------------
+
+def test_orbit_representatives_keep_a_path_apart():
+    path = dd.IncidenceGraph([[1], [0, 2], [1, 3], [2, 4], [3]])
+    assert _orbit_representatives(path)[0] == 0b111  # orbits {0, 4}, {1, 3}, {2}
+    adj = [[1], [0, 2], [1, 3], [2, 4], [3, 5], [4]]  # a path of diameter 5
+    adj[2] += range(6, 9)  # with 3 leaves on its third vertex
+    g = dd.IncidenceGraph(adj + [[2]] * 3)
+    assert _orbit_representatives(g)[0] == 0b1111111  # only the leaves share an orbit
+
+
+@st.composite
+def _small_connected_graphs(draw):
+    """A connected graph on at most 7 vertices: a random spanning tree and
+    random extra edges, under a random labelling."""
+    n = draw(st.integers(1, 7), label="vertices")
+    edges = [(draw(st.integers(0, u - 1)), u) for u in range(1, n)]
+    vertex = st.integers(0, n - 1)
+    edges += [(u, w) for u, w in draw(st.lists(st.tuples(vertex, vertex), max_size=10)) if u != w]
+    label = draw(st.permutations(range(n)), label="labels")
+    adj = [[] for _ in range(n)]
+    for u, w in edges:
+        adj[label[u]].append(label[w])
+        adj[label[w]].append(label[u])
+    return dd.IncidenceGraph(adj)
+
+
+def _orbits_of(n, maps):
+    """The orbits of the group the vertex maps generate, by closure."""
+    orbits = []
+    for u in range(n):
+        if not any(u in orbit for orbit in orbits):
+            orbit, todo = {u}, [u]
+            while todo:
+                x = todo.pop()
+                for image in {sigma[x] for sigma in maps} - orbit:
+                    orbit.add(image)
+                    todo.append(image)
+            orbits.append(frozenset(orbit))
+    return set(orbits)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(g=_small_connected_graphs())
+def test_orbit_representatives_match_brute_force(g):
+    edges = {(u, w) for u in range(g.n) for w in g.adj[u]}
+    automorphisms = [
+        sigma for sigma in itertools.permutations(range(g.n))
+        if all((sigma[u], sigma[w]) in edges for u, w in edges)
+    ]
+    reps, found = _orbit_representatives(g)
+    for sigma in found:
+        assert sorted(sigma) == list(range(g.n))
+        assert {(sigma[u], sigma[w]) for u, w in edges} == edges
+    orbits = _orbits_of(g.n, automorphisms)
+    assert _orbits_of(g.n, found) == orbits
+    assert reps == sum(1 << min(orbit) for orbit in orbits)
+    sets = _vertex_separator_sets(g)
+    for cap in range(g.n + 1):
+        plain, _ = _minimum_hitting_set(sets, g.n, None, max_size=cap)
+        assert dd.find_resolving_set(g, cap) == plain, cap
+
+
+def _relabelled(g, rng):
+    order = list(range(g.n))
+    rng.shuffle(order)
+    adj = [()] * g.n
+    for u, ns in enumerate(g.adj):
+        adj[order[u]] = [order[w] for w in ns]
+    return dd.IncidenceGraph(adj)
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["pg2", "pg3", "pg4", "ba3", "ba4", "ba5", "hd8", "hd16", "hstd4", "hstd8", "hstd16",
+     "kvv3", "kvv4", "kvv5", "kvv6"],
+)
+def test_design_graphs_are_one_orbit_in_any_labelling(corpus_graphs, name):
+    """Vertex 0 alone represents every vertex, in the natural labelling and
+    in relabelled copies: the speedup of the refutations rests on it."""
+    if name.startswith("kvv"):
+        g = dd.incidence_graph(dd.point_complement_design(int(name[3:])))
+    else:
+        g = corpus_graphs[name]
+    assert _orbit_representatives(g)[0] == 1
+    for seed in range(3):
+        assert _orbit_representatives(_relabelled(g, random.Random(f"{name}/{seed}")))[0] == 1
+
+
+@pytest.mark.parametrize(
+    "name, max_size, nodes",
+    [
+        # the plain search: 4 585, 9 801, 305 433 and 4 083 841 nodes
+        ("pg3", 6, 1_592),
+        ("hstd8", 5, 2_570),
+        ("ba5", 7, 59_180),
+        ("ba5", 8, 876_048),  # mu(BA(5)) >= 9
+    ],
+)
+def test_refutation_node_counts_with_vertex_zero_forced(corpus_graphs, name, max_size, nodes):
+    g = corpus_graphs[name]
+    reps = _orbit_representatives(g)[0]
+    assert reps == 1
+    sets = [*_vertex_separator_sets(g), reps]
+    assert _minimum_hitting_set(sets, g.n, None, max_size=max_size) == (None, nodes)
 
 
 # ---------------------------------------------------------------------------
