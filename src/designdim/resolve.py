@@ -12,10 +12,15 @@ give the unresolved-pair count.  The refinement greedy takes the candidate
 pairs.  Exact search, a minimum hitting set over per-pair separator sets,
 starts from its own eager greedy over the minimal sets and branches so
 that each sibling excludes the elements its earlier siblings took: every
-candidate set is searched once, not once per order of the pivots.  A
-capped refutation also hits one representative per vertex orbit, from
-automorphisms found by individualize and refine and each checked edge by
-edge; a found set still comes from the plain search.
+candidate set is searched once, not once per order of the pivots.  On a
+bipartite graph of diameter 3 (a symmetric design's incidence graph) a
+counting bound on signatures certifies a lower bound on the metric
+dimension: a capped refutation below it needs no search, and every
+resolving-set search stops once it holds a set of that size, the set it
+would have returned anyway.  A capped refutation also hits one
+representative per vertex orbit, from automorphisms found by individualize
+and refine and each checked edge by edge; a found set still comes from the
+plain search.
 
 Point pairs x < y are taken y-major (by y, then by x); reported witnesses
 are the first pair in that order.  All randomness is one seeded sample
@@ -298,7 +303,10 @@ def greedy_semi_resolving(d: Design) -> tuple[int, ...]:
 # exact minimum hitting set (shared by min_semi_resolving and metric_dimension)
 # ---------------------------------------------------------------------------
 
-def _minimum_hitting_set(sets, n_elements: int, budget: int | None, max_size: int | None = None):
+def _minimum_hitting_set(
+    sets, n_elements: int, budget: int | None, max_size: int | None = None,
+    lower: int | None = None,
+):
     """Branch and bound for a minimum hitting set.
 
     Works on two bitmap layers: each input set is a bitmask over elements,
@@ -320,9 +328,13 @@ def _minimum_hitting_set(sets, n_elements: int, budget: int | None, max_size: in
     at once, so the children are counted without recursion and the first
     cover in branch order is kept; nodes visited are the recursive count.
     With max_size given, searches only for solutions of at most that size
-    and returns None when a complete search finds no such solution.  A
-    budget below 1 raises ValueError, a search past the budget
-    BudgetExceeded.  Deterministic; returns (solution, nodes visited)."""
+    and returns None when a complete search finds no such solution.  With
+    lower given, a lower bound on every cover's size, the search stops as
+    soon as the size to beat is at most lower: nothing smaller exists, and
+    no later cover of equal size would replace the one held, so the
+    solution is the unbounded search's, in no more nodes.  A budget below 1
+    raises ValueError, a search past the budget BudgetExceeded.
+    Deterministic; returns (solution, nodes visited)."""
     if budget is not None and budget < 1:
         raise ValueError(f"node budget {budget} must be positive")
     if any(m == 0 for m in sets):
@@ -351,6 +363,7 @@ def _minimum_hitting_set(sets, n_elements: int, budget: int | None, max_size: in
     else:
         best = None
         best_size = max_size + 1
+    floor = -1 if lower is None else lower
     nodes = 0
     chosen: list[int] = []
 
@@ -410,9 +423,12 @@ def _minimum_hitting_set(sets, n_elements: int, budget: int | None, max_size: in
             chosen.append(e)
             dfs(uncovered & misses[e], allowed)
             chosen.pop()
+            if best_size <= floor:
+                return  # a cover at the lower bound is final
             allowed &= ~(1 << e)  # sibling exclusion (see the docstring)
 
-    dfs((1 << len(minimal)) - 1, (1 << n_elements) - 1)
+    if best_size > floor:
+        dfs((1 << len(minimal)) - 1, (1 << n_elements) - 1)
     del dfs  # no self-reference left: the tables go on return, not at a collection
     return (None if best is None else tuple(best)), nodes
 
@@ -462,16 +478,51 @@ def _vertex_separator_sets(g: IncidenceGraph) -> list[int]:
     ]
 
 
+def _signature_bound(g: IncidenceGraph) -> int:
+    """A lower bound on the metric dimension of a bipartite graph of
+    diameter 3, such as a symmetric design's incidence graph; 0 for every
+    other graph.  Two vertices of one side are at distance 2, so a landmark
+    on side A tells only itself apart from the rest of A.  If a resolving
+    set has a vertices on A and b on B, the |A| - a vertices of A outside it
+    therefore need pairwise distinct signatures N(x) & L over the b
+    landmarks L on B.  At most b + 1 of them meet L in fewer than two
+    vertices, and at most min(lam_B * C(b, 2), 2^b - b - 1) in two or more,
+    lam_B being the most common neighbors two vertices of B have.  The
+    bound is the least a + b meeting this count and its mirror image for B.
+    Each lam is one popcount per same-side pair of nbr."""
+    if g.part is None or g.diameter != 3:
+        return 0
+    sides = ([], [])
+    for u, side in enumerate(g.part):
+        sides[side].append(g.nbr[u])
+    # diameter 3 puts at least two vertices on each side
+    lam_a, lam_b = (
+        max((x & y).bit_count() for x, y in itertools.combinations(masks, 2)) for masks in sides
+    )
+    size_a, size_b = map(len, sides)
+    for total in itertools.count():
+        for a in range(max(0, total - size_b), min(total, size_a) + 1):
+            b = total - a
+            if (
+                size_a - a <= min(lam_b * math.comb(b, 2), (1 << b) - b - 1) + b + 1
+                and size_b - b <= min(lam_a * math.comb(a, 2), (1 << a) - a - 1) + a + 1
+            ):
+                return total
+
+
 def metric_dimension(
     g: IncidenceGraph,
     limit: int = DEFAULT_EXACT_LIMIT,
     budget: int | None = DEFAULT_NODE_BUDGET,
 ) -> MetricDimensionResult:
     """Exact metric dimension as a minimum hitting set over per-pair vertex
-    separator sets.  Past the size limit, falls back to the greedy upper
-    bound (each vertex splits the others by their distance to it) plus the
-    counting lower bound, the least k with (diameter+1)^k >= n (k distances
-    take at most diameter+1 values each), flagged optimal when they meet."""
+    separator sets.  The search stops once it holds a set of the size of
+    _signature_bound(g), which certifies that set optimal; it is the set
+    the full search would return.  Past the size limit, falls back to the
+    greedy upper bound (each vertex splits the others by their distance to
+    it) plus the counting lower bound, the least k with
+    (diameter+1)^k >= n (k distances take at most diameter+1 values each),
+    flagged optimal when they meet."""
     if g.n > limit:
         landmarks = tuple(sorted(_refinement_greedy(g.n, g.layers)))
         lower = 0
@@ -481,7 +532,9 @@ def metric_dimension(
             lower=lower, upper=len(landmarks), landmarks=landmarks,
             optimal=lower == len(landmarks),
         )
-    solution, _ = _minimum_hitting_set(_vertex_separator_sets(g), g.n, budget)
+    solution, _ = _minimum_hitting_set(
+        _vertex_separator_sets(g), g.n, budget, lower=_signature_bound(g)
+    )
     assert is_resolving(g, solution)
     return MetricDimensionResult(
         lower=len(solution), upper=len(solution), landmarks=solution, optimal=True
@@ -566,22 +619,27 @@ def find_resolving_set(
     """Complete search for a resolving set with at most max_size vertices.
     None certifies that none exists (so the metric dimension exceeds
     max_size); otherwise the smallest set within the cap is returned, the
-    one the plain capped search finds.  The certificate rests on verified
-    automorphisms: one maps a resolving set onto another of the same size,
-    so if a nonempty one fits the cap, so does its image under an
-    automorphism taking one of its vertices to that vertex's orbit
-    representative.  The refuting search therefore takes
-    _orbit_representatives(g) as one more set to hit (not on one vertex,
-    where the empty set resolves); when it finds a set, the plain search
-    runs again.  The budget bounds each search."""
+    one the plain capped search finds.  A cap below _signature_bound(g)
+    gets None from that counting certificate alone, with no search.
+    Otherwise the certificate rests on verified automorphisms: one maps a
+    resolving set onto another of the same size, so if a nonempty one fits
+    the cap, so does its image under an automorphism taking one of its
+    vertices to that vertex's orbit representative.  The refuting search
+    therefore takes _orbit_representatives(g) as one more set to hit (not
+    on one vertex, where the empty set resolves); when it finds a set, the
+    plain search runs again.  Both searches stop at a set of the bound's
+    size.  The budget bounds each search."""
     if max_size < 0:
         raise ValueError(f"max_size = {max_size} must be nonnegative")
+    lower = _signature_bound(g)
+    if max_size < lower:
+        return None
     sets = _vertex_separator_sets(g)
     if sets and _minimum_hitting_set(
-        [*sets, _orbit_representatives(g)[0]], g.n, budget, max_size=max_size
+        [*sets, _orbit_representatives(g)[0]], g.n, budget, max_size=max_size, lower=lower
     )[0] is None:
         return None
-    solution, _ = _minimum_hitting_set(sets, g.n, budget, max_size=max_size)
+    solution, _ = _minimum_hitting_set(sets, g.n, budget, max_size=max_size, lower=lower)
     if solution is not None:
         assert is_resolving(g, solution)
     return solution

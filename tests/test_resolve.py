@@ -15,6 +15,7 @@ from designdim.designs import pencil_masks
 from designdim.resolve import (
     _minimum_hitting_set,
     _orbit_representatives,
+    _signature_bound,
     _vertex_separator_sets,
     separator_masks,
     side_resolving_witness,
@@ -623,6 +624,43 @@ def test_hitting_set_node_counts(corpus_graphs, name, max_size, solution, nodes)
     assert _minimum_hitting_set(sets, g.n, None, max_size=max_size) == (solution, nodes)
 
 
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(data=st.data())
+def test_hitting_set_lower_bound_keeps_the_solution(data):
+    """Any lower bound at or below the optimum gives the unbounded search's
+    solution in no more nodes, with or without a cap."""
+    n = data.draw(st.integers(1, 14), label="elements")
+    count = data.draw(st.integers(0, 30), label="count")
+    sets = data.draw(
+        st.lists(st.integers(1, (1 << n) - 1), min_size=count, max_size=count),
+        label="sets",
+    )
+    max_size = data.draw(st.none() | st.integers(0, n), label="max_size")
+    optimum = len(_minimum_hitting_set(sets, n, None)[0])
+    solution, nodes = _minimum_hitting_set(sets, n, None, max_size=max_size)
+    for lower in range(optimum + 1):
+        bounded, bounded_nodes = _minimum_hitting_set(
+            sets, n, None, max_size=max_size, lower=lower
+        )
+        assert bounded == solution, lower
+        assert bounded_nodes <= nodes, lower
+
+
+@pytest.mark.parametrize(
+    "name, solution, nodes",
+    [
+        # without the bound: 24 833, 544 592 and 254 736 nodes
+        ("pg3", (0, 1, 3, 5, 13, 14, 16, 17), 0),  # the greedy start meets the bound
+        ("pg4", (1, 2, 4, 5, 8, 21, 23, 29, 31, 39), 20),
+        ("hd16", (0, 1, 6, 10, 15, 16, 18, 22), 0),
+    ],
+)
+def test_mu_search_stops_at_the_signature_bound(corpus_graphs, name, solution, nodes):
+    g = corpus_graphs[name]
+    sets = _vertex_separator_sets(g)
+    assert _minimum_hitting_set(sets, g.n, None, lower=_signature_bound(g)) == (solution, nodes)
+
+
 # ---------------------------------------------------------------------------
 # exact metric dimension
 # ---------------------------------------------------------------------------
@@ -718,14 +756,112 @@ def test_biaffine_metric_dimension_bounds(corpus, corpus_graphs):
     assert dd.find_resolving_set(g5, 7) is None  # mu >= 8 = 2q-2
 
 
-def test_find_resolving_set_edge_cases(fano):
+def test_find_resolving_set_edge_cases(fano, monkeypatch):
     # the empty set resolves one vertex: no orbit set to hit
     assert dd.find_resolving_set(dd.IncidenceGraph([[]]), 0) == ()
     for g in (dd.IncidenceGraph([[1], [0]]), _eight_cycle(), dd.incidence_graph(fano)):
         assert dd.find_resolving_set(g, 0) is None
     assert dd.find_resolving_set(dd.IncidenceGraph([[1], [0]]), 1) == (0,)
+    # at the cap mu(Fano) = 5, the signature bound, a search still runs
     with pytest.raises(resolve.BudgetExceeded):  # the budget bounds each search
-        dd.find_resolving_set(dd.incidence_graph(fano), 3, budget=2)
+        dd.find_resolving_set(dd.incidence_graph(fano), 5, budget=2)
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("a cap below the signature bound needs no search")
+
+    monkeypatch.setattr(resolve, "_minimum_hitting_set", no_search)
+    assert dd.find_resolving_set(dd.incidence_graph(fano), 4) is None
+
+
+# ---------------------------------------------------------------------------
+# the signature lower bound
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "name, bound",
+    [("pg2", 5), ("pg3", 8), ("pg4", 10), ("pg5", 14), ("pg7", 20), ("hd8", 5), ("hd16", 8),
+     # the incidence graphs of nets have diameter 4
+     ("ba3", 0), ("ba4", 0), ("ba5", 0), ("hstd4", 0), ("hstd8", 0)],
+)
+def test_signature_bound_on_the_corpus(corpus_graphs, name, bound):
+    assert _signature_bound(corpus_graphs[name]) == bound
+
+
+def test_signature_bound_beyond_the_corpus():
+    hd32 = dd.hadamard_design(dd.hadamard_matrix(32))
+    assert _signature_bound(dd.incidence_graph(dd.projective_plane(16))) == 44
+    assert _signature_bound(dd.incidence_graph(hd32)) == 10
+    kvv = [dd.incidence_graph(dd.point_complement_design(v)) for v in (3, 4, 5, 6)]
+    assert [_signature_bound(g) for g in kvv] == [2, 3, 4, 4]  # mu: 2, 3, 4, 5
+
+
+def test_signature_bound_is_zero_off_bipartite_diameter_three():
+    assert _signature_bound(_eight_cycle()) == 0  # bipartite, diameter 4
+    seven_cycle = dd.IncidenceGraph([[(u - 1) % 7, (u + 1) % 7] for u in range(7)])
+    assert (seven_cycle.part, seven_cycle.diameter) == (None, 3)
+    assert _signature_bound(seven_cycle) == 0
+
+
+def test_signature_bound_reads_each_side_its_own_lambda():
+    """The 9 elements of a set against its 126 5-subsets: two elements lie
+    in 35 common subsets, two subsets share at most 4 elements.  Eight
+    elements resolve the graph, so mu = 8 = the bound; with the two lambdas
+    swapped the count would claim 9."""
+    blocks = list(itertools.combinations(range(9), 5))
+    adj = [[9 + j for j, b in enumerate(blocks) if x in b] for x in range(9)]
+    g = dd.IncidenceGraph(adj + [list(b) for b in blocks])
+    assert (g.part is not None, g.diameter) == (True, 3)
+    assert dd.is_resolving(g, range(8))
+    assert _signature_bound(g) == 8
+
+
+@st.composite
+def _bipartite_diameter_three_graphs(draw):
+    """A bipartite graph of diameter 3 on at most 12 vertices, sides of any
+    sizes, under a random labelling.  Random edges, then a common neighbor
+    for every same-side pair without one, which makes the diameter at most
+    3, then one edge off a complete bipartite graph (diameter 2)."""
+    a = draw(st.integers(2, 6), label="side A")
+    b = draw(st.integers(2, 12 - a), label="side B")
+    sides = (range(a), range(a, a + b))
+    nbrs = [set() for _ in range(a + b)]
+
+    def join(u, w):
+        nbrs[u].add(w)
+        nbrs[w].add(u)
+
+    for x, y in itertools.product(*sides):
+        if draw(st.booleans()):
+            join(x, y)
+    for side, other in (sides, sides[::-1]):
+        for u, w in itertools.combinations(side, 2):
+            if not nbrs[u] & nbrs[w]:
+                z = draw(st.sampled_from(other))
+                join(u, z)
+                join(w, z)
+    if all(len(nbrs[x]) == b for x in sides[0]):
+        y = draw(st.sampled_from(sides[1]))
+        nbrs[0].discard(y)
+        nbrs[y].discard(0)
+    label = draw(st.permutations(range(a + b)), label="labels")
+    adj = [()] * (a + b)
+    for u, ns in enumerate(nbrs):
+        adj[label[u]] = [label[w] for w in ns]
+    return dd.IncidenceGraph(adj)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(g=_bipartite_diameter_three_graphs())
+def test_signature_bound_below_mu_and_refutations_unchanged(g):
+    assert g.part is not None and g.diameter == 3
+    sets = _vertex_separator_sets(g)
+    plain, _ = _minimum_hitting_set(sets, g.n, None)
+    result = dd.metric_dimension(g)
+    assert _signature_bound(g) <= len(plain) == result.mu
+    assert result.landmarks == plain
+    for cap in range(g.n + 1):
+        capped, _ = _minimum_hitting_set(sets, g.n, None, max_size=cap)
+        assert dd.find_resolving_set(g, cap) == capped, cap
 
 
 # ---------------------------------------------------------------------------
