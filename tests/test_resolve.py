@@ -440,6 +440,74 @@ def test_refinement_greedy_ties_match_eager_reference(reference_refinement_greed
     assert resolve._refinement_greedy(n, candidates) == expected
 
 
+def _relabelled_plane(q: int, seed: int) -> dd.SymmetricDesign:
+    """PG(2,q) under the point and block orders drawn as the benchmark's
+    relabelling draws them, from random.Random(f"{seed}/pg{q}")."""
+    d, rng = dd.projective_plane(q), random.Random(f"{seed}/pg{q}")
+    points = list(range(d.v))
+    rng.shuffle(points)
+    order = list(range(d.v))
+    rng.shuffle(order)
+    blocks = [()] * d.v
+    for j, blk in enumerate(d.blocks):
+        blocks[order[j]] = tuple(sorted(points[x] for x in blk))
+    return dd.SymmetricDesign(v=d.v, k=d.k, lam=d.lam, blocks=tuple(blocks))
+
+
+GREEDY_SEMI_PINS = {
+    (16, None): (
+        0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 16, 21, 23, 27, 28, 30, 32, 33, 35,
+        36, 48, 50, 64, 80, 84, 96, 103, 112, 127, 128, 144, 160, 170, 176, 192, 208, 224, 242,
+    ),
+    (16, 1): (
+        0, 1, 2, 3, 6, 7, 8, 9, 10, 13, 14, 17, 21, 27, 28, 29, 37, 41, 50, 51, 65, 70, 72, 80,
+        83, 103, 104, 106, 110, 113, 116, 117, 130, 135, 148, 176, 178, 180, 186, 208, 224, 235,
+        267,
+    ),
+    (31, None): (
+        0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24,
+        25, 26, 27, 28, 29, 31, 34, 35, 38, 39, 41, 43, 46, 50, 51, 53, 54, 55, 60, 62, 64, 93,
+        94, 124, 130, 155, 186, 190, 217, 220, 248, 267, 279, 293, 310, 331, 341, 372, 382, 403,
+        434, 462, 465, 488, 496, 518, 527, 558, 589, 620, 651, 681, 682, 713, 744, 775, 806, 837,
+        858, 868, 899, 912, 935,
+    ),
+    (31, 1): (
+        0, 1, 2, 3, 4, 5, 6, 7, 8, 10, 11, 18, 19, 20, 21, 22, 24, 25, 31, 34, 36, 38, 46, 47,
+        48, 51, 55, 56, 61, 67, 72, 81, 83, 97, 125, 133, 142, 155, 196, 198, 202, 208, 220,
+        234, 238, 240, 292, 302, 353, 364, 387, 394, 418, 423, 429, 438, 467, 472, 519, 525, 548,
+        558, 609, 619, 626, 641, 644, 650, 683, 700, 701, 712, 727, 733, 743, 748, 756, 763, 787,
+        796, 797, 803, 805, 821, 834, 836, 859, 930,
+    ),
+}
+
+
+@pytest.mark.parametrize("q, seed", sorted(GREEDY_SEMI_PINS, key=str))
+def test_greedy_semi_resolving_pinned_picks(q, seed):
+    """The greedy semi-resolving sets of PG(2,16) and PG(2,31), natural and
+    relabelled, as the lazy-heap greedy picked them (43 and 88 blocks)."""
+    d = dd.projective_plane(q) if seed is None else _relabelled_plane(q, seed)
+    assert dd.greedy_semi_resolving(d) == GREEDY_SEMI_PINS[q, seed]
+
+
+GREEDY_LANDMARK_PINS = {
+    7: (0, 1, 2, 3, 4, 7, 8, 9, 10, 14, 15, 25, 28, 35, 57, 58, 59, 61, 64, 65, 66, 67, 71, 72,
+        82, 85),
+    13: (
+        0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 13, 26, 39, 40, 65, 78, 91, 104, 117, 170, 171,
+        172, 173, 174, 175, 176, 177, 180, 181, 183, 184, 185, 186, 187, 188, 189, 190, 191, 192,
+        193, 194, 195, 196, 209, 222, 223, 235, 248, 261, 274, 287, 300, 313, 326,
+    ),
+}
+
+
+@pytest.mark.parametrize("q", sorted(GREEDY_LANDMARK_PINS))
+def test_metric_dimension_greedy_pinned_landmarks(q):
+    """The greedy fallback's landmarks on PG(2,7) and PG(2,13), as the
+    lazy-heap greedy picked them (26 and 56 vertices)."""
+    g = dd.incidence_graph(dd.projective_plane(q))
+    assert dd.metric_dimension(g, limit=0).landmarks == GREEDY_LANDMARK_PINS[q]
+
+
 def test_greedy_rejects_invalid_design(fano):
     broken = dataclasses.replace(fano, blocks=fano.blocks[:6] + ((0, 1, 2),))
     with pytest.raises(ValueError, match="does not validate"):
