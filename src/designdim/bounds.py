@@ -20,16 +20,16 @@ two-term expectation below the single-term bound.
 
 The exhaustive averages, the independent oracle for these closed forms,
 enumerate every s-subset of the blocks in truth tables: 2^w-bit integers
-whose bit t stands for the subset t of the first w = min(v, TABLE_BITS)
-blocks, so one big-int operation tests 2^w subsets at once.  Each
-assignment of the v - w blocks past them that leaves 0..w of the s blocks
-to the table is a chunk of its own, and a
-chunk costs about one 8 KiB table operation per block of each separator
-that its high blocks miss.  Memory stays at a few dozen tables for any v:
-about 0.25 MiB of heap on PG(2,4), v = 21.  v = 25 takes about 0.5 s at
-s = 12 on a 2-core x86-64 host.  Small s on large v is slow, as each of
-the many chunks still scans full tables: PG(2,7), v = 57, takes about 90 s
-at s = 3.
+whose bit t stands for the subset t of the first w blocks, so one big-int
+operation tests 2^w subsets at once.  Each assignment of the v - w blocks
+past them that leaves 0..w of the s blocks to the table is a chunk of its
+own, and a chunk costs about one table operation per block of each
+separator that its high blocks miss.  w is v up to TABLE_BITS blocks;
+past that it is chosen from s and v, trading the number of chunks against
+the table size, so small s takes narrow tables.  Memory stays at a few
+dozen tables for any v: about 0.25 MiB of heap on PG(2,4), v = 21.  On a
+2-core x86-64 host v = 25 takes about 0.5 s at s = 12, and PG(2,7),
+v = 57, about 0.6 s at s = 2 and 11 s at s = 3 (8-bit and 9-bit tables).
 """
 
 from __future__ import annotations
@@ -51,7 +51,8 @@ from .resolve import _sample_bound, _seeded_samples, _signature_collision, separ
 
 DECIMAL_PRECISION = 50  # digits; >= 80 effective bits with margin to spare
 MARGINAL_SLACK = 1e-9
-TABLE_BITS = 16  # blocks per truth table: 2^16-bit (8 KiB) tables
+TABLE_BITS = 16  # blocks per truth table at most: 2^16-bit (8 KiB) tables
+OP_BITS = 1 << 12  # a table op's fixed cost in table bits, fitted to PG(2,5) and PG(2,7) runs
 
 
 def expected_unresolved(v: int, m: int, s: int) -> Fraction:
@@ -313,10 +314,25 @@ def _truth_tables(w: int) -> list[int]:
     return var
 
 
+def _table_width(v: int, s: int) -> int:
+    """The truth-table width for s-subsets of v blocks: v itself up to
+    TABLE_BITS, else the width w <= TABLE_BITS that minimises the chunks
+    (assignments of j <= s of the v - w high blocks) times the cost of a
+    table op, 2^w bits plus a fixed cost per op."""
+    if v <= TABLE_BITS:
+        return v
+
+    def cost(w: int) -> int:
+        chunks = sum(comb(v - w, j) for j in range(max(0, s - w), min(s, v - w) + 1))
+        return chunks * ((1 << w) + OP_BITS)
+
+    return min(range(1, TABLE_BITS + 1), key=cost)
+
+
 def _subset_average(d: Design, s: int, score) -> Fraction:
     """The exact average over every s-subset of the blocks, by full
-    enumeration in truth tables.  The first TABLE_BITS blocks span one
-    table; each assignment of the blocks past them is a chunk, enumerated
+    enumeration in truth tables.  The first _table_width(v, s) blocks span
+    one table; each assignment of the blocks past them is a chunk, enumerated
     in a loop.  score(size, misses) gets the chunk's table of s-subsets and
     a stream of tables, one per point pair whose separator (pencil
     symmetric difference) the chunk's high blocks miss: the s-subsets that
@@ -324,19 +340,21 @@ def _subset_average(d: Design, s: int, score) -> Fraction:
     v = d.v
     if not 0 <= s <= v:
         raise ValueError(f"s = {s} outside 0..{v}")
-    w = min(v, TABLE_BITS)
+    w = _table_width(v, s)
     var = _truth_tables(w)
     planes = _tally(var)
     full, low = (1 << (1 << w)) - 1, (1 << w) - 1
-    separators = separator_masks(pencil_masks(d))
+    # each separator's high blocks, and the tables of its low blocks
+    separators = [
+        (sep & ~low, [var[b] for b in _bits(sep & low)])
+        for sep in separator_masks(pencil_masks(d))
+    ]
     total = 0
     for j in range(max(0, s - w), min(s, v - w) + 1):
         size = _tally_is(planes, s - j, full)
         for high in map(_mask, combinations(range(w, v), j)):
             misses = (
-                size & ~reduce(or_, map(var.__getitem__, _bits(sep & low)), 0)
-                for sep in separators
-                if not sep & high
+                size & ~reduce(or_, tables, 0) for sep, tables in separators if not sep & high
             )
             total += score(size, misses)
     return Fraction(total, comb(v, s))

@@ -321,6 +321,23 @@ def test_exhaustive_past_one_table_on_pg4(corpus):
     assert peak < 2 << 20
 
 
+def test_exhaustive_small_s_on_pg7_takes_narrow_tables():
+    """PG(2,7) has v = 57 blocks.  At s = 2 a 2^16-bit table would hold 136
+    pairs of the first 16 blocks, and 862 chunks would each scan it whole;
+    the width chosen from s and v takes narrow tables, and the average over
+    the 1 596 pairs of blocks equals the closed form in well under a second
+    (about 0.6 s on a 2-core x86-64 host).  Up to TABLE_BITS blocks one
+    table spans them all at every s."""
+    d = dd.projective_plane(7)
+    assert dd.bounds._table_width(d.v, 2) < dd.bounds.TABLE_BITS
+    assert dd.exhaustive_expected_unresolved(d, 2) == dd.design_expected_unresolved(d, 2)
+    assert all(
+        dd.bounds._table_width(v, s) == v
+        for v in range(1, dd.bounds.TABLE_BITS + 1)
+        for s in range(v + 1)
+    )
+
+
 def test_exhaustive_rejects_sample_sizes_before_building_tables(corpus, monkeypatch):
     def no_tables(w):
         raise AssertionError("built truth tables for an invalid s")

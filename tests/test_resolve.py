@@ -440,6 +440,19 @@ def test_refinement_greedy_ties_match_eager_reference(reference_refinement_greed
     assert resolve._refinement_greedy(n, candidates) == expected
 
 
+@pytest.mark.parametrize("n", [46340, 46341])
+def test_refinement_greedy_wide_fields_match_eager_reference(reference_refinement_greedy, n):
+    """46 341 is the least item count whose square reaches 2^31, where the
+    packed gains widen from 32- to 64-bit fields.  On either side, 16
+    binary-digit candidates (candidate b parts the items by bit b of their
+    index) give the eager scan's picks."""
+    full = (1 << n) - 1
+    digits = [int("".join(str(x >> b & 1) for x in reversed(range(n))), 2) for b in range(16)]
+    candidates = [(full ^ m, m) for m in digits]
+    expected = reference_refinement_greedy(n, candidates)
+    assert resolve._refinement_greedy(n, candidates) == expected
+
+
 def _relabelled_plane(q: int, seed: int) -> dd.SymmetricDesign:
     """PG(2,q) under the point and block orders drawn as the benchmark's
     relabelling draws them, from random.Random(f"{seed}/pg{q}")."""
