@@ -398,6 +398,24 @@ def test_metric_dimension_fallback_matches_pairwise_reference(corpus_graphs, lay
         assert dd.metric_dimension(g, limit=0).landmarks == expected, name
 
 
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(g=st.deferred(lambda: _small_connected_graphs(max_vertices=14)))
+def test_metric_dimension_fallback_matches_pairwise_reference_on_random_graphs(
+    g, bfs_distances
+):
+    """Random connected graphs, most with a vertex whose eccentricity is
+    below the diameter (so its farthest layer is empty): the fallback's
+    landmarks are the pairwise greedy's over separators read from a plain
+    BFS, not from the layers."""
+    dist = bfs_distances(g)
+    seps = [
+        sum(1 << x for x in range(g.n) if dist[u][x] != dist[w][x])
+        for w in range(g.n)
+        for u in range(w)
+    ]
+    assert dd.metric_dimension(g, limit=0).landmarks == _pairwise_greedy(seps, g.n)
+
+
 def test_refinement_greedy_matches_eager_reference(
     corpus, corpus_graphs, reference_refinement_greedy
 ):
@@ -959,10 +977,10 @@ def test_orbit_representatives_keep_a_path_apart():
 
 
 @st.composite
-def _small_connected_graphs(draw):
-    """A connected graph on at most 7 vertices: a random spanning tree and
-    random extra edges, under a random labelling."""
-    n = draw(st.integers(1, 7), label="vertices")
+def _small_connected_graphs(draw, max_vertices=7):
+    """A connected graph on at most max_vertices vertices: a random
+    spanning tree and random extra edges, under a random labelling."""
+    n = draw(st.integers(1, max_vertices), label="vertices")
     edges = [(draw(st.integers(0, u - 1)), u) for u in range(1, n)]
     vertex = st.integers(0, n - 1)
     edges += [(u, w) for u, w in draw(st.lists(st.tuples(vertex, vertex), max_size=10)) if u != w]
