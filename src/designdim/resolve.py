@@ -258,24 +258,23 @@ def _members(mask: int):
         x = digits.find("1", x + 1)
 
 
-def _refinement_greedy(n_items: int, partitions, rows=None) -> list[int]:
-    """Greedy separation by partition refinement.  partitions[i] lists the
-    parts (disjoint item bitsets covering every item) that candidate i
-    splits the items into.  Keeps the classes of items not yet told apart
-    and repeatedly takes the candidate splitting the most same-class pairs,
-    lowest index on ties.  Returns the candidates in the order taken.
-    rows is the transpose, when the caller holds it: rows[x][p] is the
-    bitset of the candidates whose part p holds item x, read for every
-    part but a candidate's last (a design's pencil masks for its blocks,
-    a graph's distance layers for its vertices).  Without it, one pass
-    over the parts' bits builds it.
+def _refinement_greedy(n_items: int, parts, rows) -> list[int]:
+    """Greedy separation by partition refinement.  Candidate i splits the
+    items into disjoint parts covering every item: parts[p][i] is its part
+    p for every part but the last, and its last part is what those leave.
+    rows is the transpose: rows[p][x] is the bitset of the candidates whose
+    part p holds item x (a design's pencil masks for its blocks; a graph's
+    distance layers below the diameter are their own transpose).  Keeps
+    the classes of items not yet told apart and repeatedly takes the
+    candidate splitting the most same-class pairs, lowest index on ties.
+    Returns the candidates in the order taken.
 
     Every candidate's gain is exact in one packed int, a w-bit field per
     candidate.  Each class keeps its shares, packed the same way with one
-    slab per stored part (every part but the last): the count of its
-    items in that part of every candidate.  The parts cover every item,
-    so a class's share of a candidate's last part is what the stored
-    parts leave.  When a pick splits class c into A (the smaller side)
+    slab per stored part: the count of its items in that part of every
+    candidate.  A class's share of a candidate's last part is what the
+    stored parts leave, and a picked candidate's last part is built once,
+    at its pick.  When a pick splits class c into A (the smaller side)
     and B, A's shares are a bit-sliced tally of its items' rows, B's are
     c's minus A's, and every candidate loses the A-B pairs it splits:
 
@@ -287,23 +286,15 @@ def _refinement_greedy(n_items: int, partitions, rows=None) -> list[int]:
     parts peels its smaller pieces off a class one at a time."""
     if n_items < 2:
         return []
-    assert partitions, "valid designs and graphs always separate their items"
-    n = len(partitions)
-    stored = max(max(map(len, partitions)) - 1, 1)
+    stored, n = len(parts), len(parts[0])
+    everything = (1 << n_items) - 1
     # every field (a gain, or a product of two class shares) stays below n_items^2 / 2
     w = 32 if n_items * n_items < 1 << 31 else 64
     step, code, ones, slab = w // 8, "I" if w == 32 else "Q", (1 << w) - 1, n * w
     # field p*n + i of a row, a plane or a share: candidate i's part p
-    if rows is None:
-        packed = [0] * n_items
-        for i, parts in enumerate(partitions):
-            for p, part in enumerate(parts[:-1]):
-                for x in _members(part):
-                    packed[x] |= 1 << p * n + i
-    elif stored == 1:
-        packed = [row[0] for row in rows]  # the caller's ints, not copies
-    else:
-        packed = [sum(row[p] << p * n for p in range(stored)) for row in rows]
+    packed = list(rows[0])  # the caller's ints, not copies, for one stored part
+    for p in range(1, stored):
+        packed = [x | row << p * n for x, row in zip(packed, rows[p])]
 
     def pack(values) -> int:
         fields = array(code, values)
@@ -333,11 +324,13 @@ def _refinement_greedy(n_items: int, partitions, rows=None) -> list[int]:
             total += x >> shift & low
         return total
 
-    sizes = [[p.bit_count() for p in parts] for parts in partitions]
-    gain = pack((n_items * n_items - sum(s * s for s in ss)) // 2 for ss in sizes)
-    shares = pack(ss[p] if p < len(ss) - 1 else 0 for p in range(stored) for ss in sizes)
+    counts = [[m.bit_count() for m in part] for part in parts]
+    gain = pack(
+        (n_items * n_items - sum(s * s for s in ss) - (n_items - sum(ss)) ** 2) // 2
+        for ss in zip(*counts)
+    )
     # live classes, of two items or more: (items, size, shares)
-    classes = [((1 << n_items) - 1, n_items, shares)]
+    classes = [(everything, n_items, pack(s for ss in counts for s in ss))]
 
     def split(a: int, n_a: int, shares: int, n_b: int) -> tuple[int, int]:
         # the shares of A and of B; takes the A-B pairs off every gain
@@ -370,11 +363,11 @@ def _refinement_greedy(n_items: int, partitions, rows=None) -> list[int]:
         assert best, "valid designs and graphs always separate their items"
         i = gains.index(best)
         chosen.append(i)
+        picked = [part[i] for part in parts]
+        picked.append(everything ^ sum(picked))  # the parts are disjoint: sum is union
         kept = []
         for c, size, shares in classes:
-            pieces = sorted(
-                ((x.bit_count(), x) for p in partitions[i] if (x := c & p)), reverse=True
-            )
+            pieces = sorted(((x.bit_count(), x) for p in picked if (x := c & p)), reverse=True)
             for n_a, a in pieces[:0:-1]:
                 share_a, shares = split(a, n_a, shares, size - n_a)
                 c, size = c ^ a, size - n_a
@@ -394,10 +387,7 @@ def greedy_semi_resolving(d: Design) -> tuple[int, ...]:
     """Greedy over blocks: take the block separating the most
     still-unseparated point pairs, lowest index on ties."""
     require_valid(d)
-    everything = (1 << d.point_count) - 1
-    blocks = [(m, everything ^ m) for m in block_masks(d)]
-    rows = [(m,) for m in pencil_masks(d)]
-    result = tuple(sorted(_refinement_greedy(d.point_count, blocks, rows)))
+    result = tuple(sorted(_refinement_greedy(d.point_count, [block_masks(d)], [pencil_masks(d)])))
     assert is_semi_resolving(d, result)
     return result
 
@@ -627,8 +617,9 @@ def metric_dimension(
     (diameter+1)^k >= n (k distances take at most diameter+1 values each),
     flagged optimal when they meet."""
     if g.n > limit:
-        # distance is symmetric: the layers are their own transpose
-        landmarks = tuple(sorted(_refinement_greedy(g.n, g.layers, g.layers)))
+        # distance is symmetric: the layers below the diameter are their own transpose
+        layers = tuple(zip(*g.layers))[:-1]
+        landmarks = tuple(sorted(_refinement_greedy(g.n, layers, layers)))
         lower = 0
         while (g.diameter + 1) ** lower < g.n:
             lower += 1

@@ -10,7 +10,7 @@ from designdim.designs import (
     _bits, _index_masks, _mask, _pair_count_violation, _parallel_classes, pencil_masks,
 )
 from designdim.fields import make_field, prime_power
-from designdim.resolve import BudgetExceeded, separator_masks
+from designdim.resolve import BudgetExceeded, _members, _refinement_greedy, separator_masks
 
 PG_ORDERS = (2, 3, 4, 5, 7, 8, 9)
 HADAMARD_DESIGN_ORDERS = (8, 12, 16, 20)
@@ -220,6 +220,25 @@ def _reference_refinement_greedy(n_items, partitions):
 @pytest.fixture(scope="session")
 def reference_refinement_greedy():
     return _reference_refinement_greedy
+
+
+def _refinement_greedy_on_partitions(n_items, partitions):
+    """resolve._refinement_greedy called on the candidate-major partitions
+    the reference takes: every part but a candidate's last, part-major (a
+    candidate with fewer parts gets empty ones), with their transpose."""
+    stored = max(map(len, partitions)) - 1
+    parts = [[ps[p] if p < len(ps) - 1 else 0 for ps in partitions] for p in range(stored)]
+    rows = [[0] * n_items for _ in parts]
+    for part, row in zip(parts, rows):
+        for i, m in enumerate(part):
+            for x in _members(m):
+                row[x] |= 1 << i
+    return _refinement_greedy(n_items, parts, rows)
+
+
+@pytest.fixture(scope="session")
+def refinement_greedy_on_partitions():
+    return _refinement_greedy_on_partitions
 
 
 def _reference_incidence_graph(d):

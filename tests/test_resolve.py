@@ -417,7 +417,7 @@ def test_metric_dimension_fallback_matches_pairwise_reference_on_random_graphs(
 
 
 def test_refinement_greedy_matches_eager_reference(
-    corpus, corpus_graphs, reference_refinement_greedy
+    corpus, corpus_graphs, reference_refinement_greedy, refinement_greedy_on_partitions
 ):
     """The same ordered picks as the eager scan: block candidates on every
     corpus design and its dual, layer candidates on every corpus graph with
@@ -427,16 +427,18 @@ def test_refinement_greedy_matches_eager_reference(
             everything = (1 << base.point_count) - 1
             blocks = [(m, everything ^ m) for m in designs.block_masks(base)]
             expected = reference_refinement_greedy(base.point_count, blocks)
-            assert resolve._refinement_greedy(base.point_count, blocks) == expected, name
+            assert refinement_greedy_on_partitions(base.point_count, blocks) == expected, name
     for name, g in corpus_graphs.items():
         if g.n <= 60:
             expected = reference_refinement_greedy(g.n, g.layers)
-            assert resolve._refinement_greedy(g.n, g.layers) == expected, name
+            assert refinement_greedy_on_partitions(g.n, g.layers) == expected, name
 
 
 @settings(derandomize=True, max_examples=300, deadline=None, database=None)
 @given(st.data())
-def test_refinement_greedy_ties_match_eager_reference(reference_refinement_greedy, data):
+def test_refinement_greedy_ties_match_eager_reference(
+    reference_refinement_greedy, refinement_greedy_on_partitions, data
+):
     """Random candidate lists on at most 12 items, with duplicated
     candidates, empty parts, the one-part candidate and single-item splits
     (which tie with each other and together separate every item): the
@@ -455,11 +457,13 @@ def test_refinement_greedy_ties_match_eager_reference(reference_refinement_greed
     candidates += [(1 << x, full ^ 1 << x) for x in range(n)]
     candidates = data.draw(st.permutations(candidates))
     expected = reference_refinement_greedy(n, candidates)
-    assert resolve._refinement_greedy(n, candidates) == expected
+    assert refinement_greedy_on_partitions(n, candidates) == expected
 
 
 @pytest.mark.parametrize("n", [46340, 46341])
-def test_refinement_greedy_wide_fields_match_eager_reference(reference_refinement_greedy, n):
+def test_refinement_greedy_wide_fields_match_eager_reference(
+    reference_refinement_greedy, refinement_greedy_on_partitions, n
+):
     """46 341 is the least item count whose square reaches 2^31, where the
     packed gains widen from 32- to 64-bit fields.  On either side, 16
     binary-digit candidates (candidate b parts the items by bit b of their
@@ -468,7 +472,7 @@ def test_refinement_greedy_wide_fields_match_eager_reference(reference_refinemen
     digits = [int("".join(str(x >> b & 1) for x in reversed(range(n))), 2) for b in range(16)]
     candidates = [(full ^ m, m) for m in digits]
     expected = reference_refinement_greedy(n, candidates)
-    assert resolve._refinement_greedy(n, candidates) == expected
+    assert refinement_greedy_on_partitions(n, candidates) == expected
 
 
 def _relabelled_plane(q: int, seed: int) -> dd.SymmetricDesign:
