@@ -556,7 +556,8 @@ def test_pair_count_violation_matches_reference(corpus, reference_pair_count_vio
     """Random 0/1 incidence matrices, and the point or block side of a small
     corpus design with up to three incidences flipped, each with no
     classes, random classes or (for a net's point side) its own classes:
-    the same first bad pair, y-major, with the same counts."""
+    the same first bad pair, y-major, with the same counts, from the lane
+    kernel, the per-element kernel and the dispatcher."""
     if data.draw(st.booleans(), label="random"):
         width = data.draw(st.integers(1, 12), label="members")
         masks = data.draw(st.lists(st.integers(0, (1 << width) - 1), min_size=1, max_size=12),
@@ -591,4 +592,29 @@ def test_pair_count_violation_matches_reference(corpus, reference_pair_count_vio
     class_masks = class_of and [designs._mask(y for y, c in enumerate(class_of) if c == cx)
                                 for cx in class_of]
     expected = reference_pair_count_violation(masks, lam, class_of)
-    assert designs._pair_count_violation(rows, members, lam, class_masks) == expected
+    for kernel in (designs._pair_count_violation, designs._lane_pair_count_violation,
+                   designs._element_pair_count_violation):
+        assert kernel(rows, members, lam, class_masks) == expected, kernel.__name__
+
+
+@pytest.mark.parametrize("q", [31, 37])
+def test_pair_count_kernels_agree_at_the_lane_limit(q):
+    """PG(2,31) (993 points, under the lane limit) and PG(2,37) (1 407
+    points, over it) validate; with one point of block 0 moved, as _mutate
+    moves it, both kernels and the dispatcher find the same first bad
+    pair, with its true counts, on each side."""
+    d = dd.projective_plane(q)
+    assert dd.validate_design(d).ok
+    assert (d.v <= designs._LANE_LIMIT) == (q == 31)
+    blocks = [list(b) for b in d.blocks]
+    blocks[0][0] = min(set(range(d.v)) - set(blocks[0]))
+    m = dataclasses.replace(d, blocks=tuple(tuple(sorted(b)) for b in blocks))
+    pencils, bmasks = designs._build_pencils(m), [designs._mask(b) for b in m.blocks]
+    points = [list(designs._bits(p)) for p in pencils]
+    for rows, members, masks in ((points, bmasks, pencils), (m.blocks, pencils, bmasks)):
+        hits = {kernel(rows, members, m.lam) for kernel in (
+            designs._pair_count_violation, designs._lane_pair_count_violation,
+            designs._element_pair_count_violation)}
+        assert len(hits) == 1
+        ((x, y, got, want),) = hits
+        assert x < y and got == (masks[x] & masks[y]).bit_count() != want == m.lam
