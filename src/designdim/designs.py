@@ -16,10 +16,10 @@ validate() and validate_std().  Each checks the parameters (a symmetric
 design needs v >= 2 points, a positive order k - lambda and lambda >= 1, a
 net g >= 2 and lambda >= 1), then builds the dual from the design's pencil
 lists and runs the same incidence check on the points of each, counting
-every pair by bit-sliced tallies: one tally for a whole side of at most
-1 024 elements, one per element past that.  The report lists the parameter
-violations, then at most one violation per side.  Every valid design
-therefore has pairwise distinct pencils and a connected incidence graph.
+every pair by bit-sliced tallies, one for each run of up to 1 024
+elements; the report lists the parameter violations, then at most one
+violation per side.  Every valid design therefore has pairwise distinct
+pencils and a connected incidence graph.
 
 All objects are immutable after construction and safe to share across
 threads.  Points and blocks are dense 0-based integer indices.
@@ -38,7 +38,7 @@ verdict: each call checks afresh.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import zip_longest
+from itertools import groupby, zip_longest
 
 from .fields import make_field, prime_power
 
@@ -395,7 +395,17 @@ def hadamard_std(H: HadamardMatrix) -> TransversalDesign:
 # validation
 # ---------------------------------------------------------------------------
 
-_LANE_LIMIT = 1024  # below the measured crossover, about 1 400 elements
+_LANE_BYTES = 1 << 17  # one column of a run: a side of up to 1 024 elements is one run
+
+
+def _lane_runs(rows, size: int):
+    """Consecutive ranges of at most size elements whose rows share one
+    bit length, so that no row in a range is twice as long as another."""
+    end = 0
+    for _, run in groupby(map(int.bit_length, map(len, rows))):
+        start, end = end, end + len(list(run))
+        for y in range(start, end, size):
+            yield range(y, min(y + size, end))
 
 
 def _pair_count_violation(rows, members, lam: int, class_masks=None):
@@ -403,29 +413,27 @@ def _pair_count_violation(rows, members, lam: int, class_masks=None):
     number of members (lam, or 0 when class_masks[x], the bitset of the
     class of x, holds y), as (x, y, got, expected); None when every pair
     agrees.  rows[x] lists the members holding x and members[j] is the
-    bitset of the elements of member j.  A side of at most _LANE_LIMIT
-    elements is counted by _lane_pair_count_violation, a larger one by
-    _element_pair_count_violation; both give the same answer."""
-    small = len(rows) <= _LANE_LIMIT
-    kernel = _lane_pair_count_violation if small else _element_pair_count_violation
-    return kernel(rows, members, lam, class_masks)
+    bitset of the elements of member j.
 
+    The n elements are counted in runs of consecutive elements, by one
+    bit-sliced tally per run.  Element y of a run gets a lane of L =
+    8*ceil(n/8) bits, whole bytes, at bit (y - y0)*L of a wide int, y0
+    being the run's first element.  Column t of the run's rows puts
+    members[rows[y][t]] into every lane y (an all-zero member fills the
+    short rows), gathered by one int.from_bytes, so after the tally of the
+    columns bit (y - y0)*L + x holds c(x, y), the number of members
+    holding both.  Only the lower triangle x < y is checked, and as the
+    lane is y and the bit within it is x, the lowest bad bit is the lowest
+    y, then the lowest x: the y-major first bad pair, and the first run
+    with a bad bit holds it.
 
-def _lane_pair_count_violation(rows, members, lam: int, class_masks=None):
-    """_pair_count_violation by one tally for the whole side.  Element y
-    of the n elements gets a lane, the bits y*L .. y*L+n-1 of a wide int,
-    with L = 8*ceil(n/8) so that a lane is whole bytes: column t of rows
-    puts members[rows[y][t]] into every lane y (an all-zero member fills
-    the short rows), so after the tally of the columns bit y*L + x holds
-    the count c(x, y) of members holding both.  Only the lower triangle
-    x < y is checked (against 0 where class_masks[y] holds x, else lam),
-    and as y is the lane and x the bit within it, the
-    lowest bad bit is the lowest y, then the lowest x: the y-major first
-    bad pair, at divmod(pos, L) == (y, x).  The gather of k*n*L/8 bytes
-    per side outweighs the interpreter time it saves past about 1 400
-    elements: per side, PG(2,31) (993 points) takes 8.0 ms against 11.5
-    ms for the per-element tally, PG(2,37) (1 407) 20 ms on both, and
-    PG(2,47) (2 257) 60 against 46 ms; hence _LANE_LIMIT."""
+    A run's columns stay within _LANE_BYTES, so a side of up to 1 024
+    elements is one run, and its rows share one bit length, so none is
+    twice another and the filler stays below the incidences.  Per side,
+    against one tally per element: hd64 0.71 -> 0.16 ms, PG(2,31)
+    11.8 -> 6.6 ms, PG(2,37) 21 -> 16 ms; past about 2 000 elements the
+    gather of k*n*L/8 bytes outweighs the interpreter time it saves, and
+    PG(2,64) takes 1.3 times as long, PG(2,128) 1.7 times."""
     n = len(rows)
     width = (n + 7) // 8
     lanes = [m.to_bytes(width, "little") for m in members]
@@ -434,37 +442,19 @@ def _lane_pair_count_violation(rows, members, lam: int, class_masks=None):
     def wide(chunks) -> int:
         return int.from_bytes(b"".join(chunks), "little")
 
-    columns = zip_longest(*rows, fillvalue=len(members))
-    planes = _tally(wide(map(lanes.__getitem__, column)) for column in columns)
-    below = wide(((1 << y) - 1).to_bytes(width, "little") for y in range(n))
-    same = wide((class_masks[y] & (1 << y) - 1).to_bytes(width, "little")
-                for y in range(n)) if class_masks else 0
-    good = _tally_is(planes, lam, below & ~same) | (same and _tally_is(planes, 0, same))
-    if not (bad := below & ~good):
-        return None
-    pos = (bad & -bad).bit_length() - 1
-    y, x = divmod(pos, 8 * width)
-    got = sum((p >> pos & 1) << b for b, p in enumerate(planes))
-    return x, y, got, 0 if same >> pos & 1 else lam
-
-
-def _element_pair_count_violation(rows, members, lam: int, class_masks=None):
-    """_pair_count_violation by one tally per element, the kernel for a
-    side past _LANE_LIMIT elements: one tally of the members in rows[x]
-    counts what x shares with every y."""
-    hit, best = None, len(rows)
-    for x, row in enumerate(rows):
-        if x + 1 >= best:
-            break  # every pair left is y-major after the hit
-        scope = (1 << best) - (2 << x)  # the y with x < y < best
-        planes = _tally([members[j] for j in row])
-        same = class_masks[x] & scope if class_masks else 0
-        good = _tally_is(planes, lam, scope & ~same) | (same and _tally_is(planes, 0, same))
-        if bad := scope & ~good:
-            best = next(_bits(bad))
-            got = sum((p >> best & 1) << b for b, p in enumerate(planes))
-            hit = x, best, got, 0 if same >> best & 1 else lam
-    return hit
+    for ys in _lane_runs(rows, max(1, _LANE_BYTES // max(width, 1))):
+        columns = zip_longest(*rows[ys.start:ys.stop], fillvalue=len(members))
+        planes = _tally(wide(map(lanes.__getitem__, column)) for column in columns)
+        below = wide(((1 << y) - 1).to_bytes(width, "little") for y in ys)
+        same = wide((class_masks[y] & (1 << y) - 1).to_bytes(width, "little")
+                    for y in ys) if class_masks else 0
+        good = _tally_is(planes, lam, below & ~same) | (same and _tally_is(planes, 0, same))
+        if bad := below & ~good:
+            pos = (bad & -bad).bit_length() - 1
+            y, x = divmod(pos, 8 * width)
+            got = sum((p >> pos & 1) << b for b, p in enumerate(planes))
+            return x, ys.start + y, got, 0 if same >> pos & 1 else lam
+    return None
 
 
 def _index_masks(rows, v: int, noun: str):

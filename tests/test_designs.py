@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import tracemalloc
 from math import comb
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -556,8 +557,8 @@ def test_pair_count_violation_matches_reference(corpus, reference_pair_count_vio
     """Random 0/1 incidence matrices, and the point or block side of a small
     corpus design with up to three incidences flipped, each with no
     classes, random classes or (for a net's point side) its own classes:
-    the same first bad pair, y-major, with the same counts, from the lane
-    kernel, the per-element kernel and the dispatcher."""
+    the same first bad pair, y-major, with the same counts, whether the
+    elements are counted in one run or in runs of one or three lanes."""
     if data.draw(st.booleans(), label="random"):
         width = data.draw(st.integers(1, 12), label="members")
         masks = data.draw(st.lists(st.integers(0, (1 << width) - 1), min_size=1, max_size=12),
@@ -592,29 +593,43 @@ def test_pair_count_violation_matches_reference(corpus, reference_pair_count_vio
     class_masks = class_of and [designs._mask(y for y, c in enumerate(class_of) if c == cx)
                                 for cx in class_of]
     expected = reference_pair_count_violation(masks, lam, class_of)
-    for kernel in (designs._pair_count_violation, designs._lane_pair_count_violation,
-                   designs._element_pair_count_violation):
-        assert kernel(rows, members, lam, class_masks) == expected, kernel.__name__
+    for budget in (designs._LANE_BYTES, 3, 1):
+        with mock.patch.object(designs, "_LANE_BYTES", budget):
+            assert designs._pair_count_violation(rows, members, lam, class_masks) == expected, budget
 
 
 @pytest.mark.parametrize("q", [31, 37])
-def test_pair_count_kernels_agree_at_the_lane_limit(q):
-    """PG(2,31) (993 points, under the lane limit) and PG(2,37) (1 407
-    points, over it) validate; with one point of block 0 moved, as _mutate
-    moves it, both kernels and the dispatcher find the same first bad
-    pair, with its true counts, on each side."""
+def test_pair_count_runs_on_large_planes(q, reference_pair_count_violation):
+    """PG(2,31) (993 points) is counted in one run and PG(2,37) (1 407) in
+    two; both validate.  With the lowest point of block 0 moved to the
+    lowest point outside it, as _mutate moves a point, each side's first
+    bad pair and its counts are the oracle's: on PG(2,37) the point side's
+    lies in the second run, the block side's in the first."""
     d = dd.projective_plane(q)
     assert dd.validate_design(d).ok
-    assert (d.v <= designs._LANE_LIMIT) == (q == 31)
+    runs = list(designs._lane_runs(d.blocks, designs._LANE_BYTES // ((d.v + 7) // 8)))
+    assert len(runs) == (1 if q == 31 else 2)
     blocks = [list(b) for b in d.blocks]
     blocks[0][0] = min(set(range(d.v)) - set(blocks[0]))
     m = dataclasses.replace(d, blocks=tuple(tuple(sorted(b)) for b in blocks))
     pencils, bmasks = designs._build_pencils(m), [designs._mask(b) for b in m.blocks]
     points = [list(designs._bits(p)) for p in pencils]
     for rows, members, masks in ((points, bmasks, pencils), (m.blocks, pencils, bmasks)):
-        hits = {kernel(rows, members, m.lam) for kernel in (
-            designs._pair_count_violation, designs._lane_pair_count_violation,
-            designs._element_pair_count_violation)}
-        assert len(hits) == 1
-        ((x, y, got, want),) = hits
-        assert x < y and got == (masks[x] & masks[y]).bit_count() != want == m.lam
+        hit = designs._pair_count_violation(rows, members, m.lam)
+        assert hit is not None and hit == reference_pair_count_violation(masks, m.lam)
+
+
+def test_pair_count_runs_split_at_a_long_row(reference_pair_count_violation):
+    """PG(2,31) with point 0 put on every block in place of the block's
+    lowest point: point 0's row of 993 blocks is a run of its own, not one
+    padding 992 lanes of filler, and the report names the oracle's pair."""
+    d = dd.projective_plane(31)
+    blocks = [b if 0 in b else (0, *b[1:]) for b in d.blocks]
+    m = dataclasses.replace(d, blocks=tuple(blocks))
+    pencils = designs._build_pencils(m)
+    points = [list(designs._bits(p)) for p in pencils]
+    assert len(points[0]) == 993
+    assert next(designs._lane_runs(points, designs._LANE_BYTES)) == range(0, 1)
+    x, y, got, want = reference_pair_count_violation(pencils, m.lam)
+    assert dd.validate_design(m).violations[0] == (
+        f"point pair ({x}, {y}) shares {got} blocks, expected {want}")
