@@ -617,6 +617,7 @@ def test_pair_count_runs_on_large_planes(q, reference_pair_count_violation):
     for rows, members, masks in ((points, bmasks, pencils), (m.blocks, pencils, bmasks)):
         hit = designs._pair_count_violation(rows, members, m.lam)
         assert hit is not None and hit == reference_pair_count_violation(masks, m.lam)
+        assert (hit[1] >= runs[0].stop) == (q == 37 and rows is points)
 
 
 def test_pair_count_runs_split_at_a_long_row(reference_pair_count_violation):
