@@ -429,12 +429,9 @@ def _pair_count_violation(rows, members, lam: int, class_masks=None):
 
     A run's columns stay within _LANE_BYTES, so a side of up to 1 024
     elements is one run, and its rows share one bit length, so none is
-    twice another and the filler stays below the incidences.  Per side
-    on a 2-vCPU host, against one tally per element: hd64 0.71 -> 0.16
-    ms, PG(2,31) 11.8 -> 6.6 ms, PG(2,47) 0.9 times as long; past about
-    3 000 elements the gather of k*n*L/8 bytes outweighs the interpreter
-    time it saves, and PG(2,64) takes about 1.6 times as long, PG(2,128)
-    about twice."""
+    twice another and the filler stays below the incidences.  Past about
+    3 000 elements per side the gather of k*n*L/8 bytes outweighs the
+    interpreter time the lanes save."""
     n = len(rows)
     width = (n + 7) // 8
     lanes = [m.to_bytes(width, "little") for m in members]

@@ -10,7 +10,7 @@ from designdim.designs import (
     _bits, _index_masks, _mask, _pair_count_violation, _parallel_classes, pencil_masks,
 )
 from designdim.fields import make_field, prime_power
-from designdim.resolve import BudgetExceeded, _members, _refinement_greedy, separator_masks
+from designdim.resolve import BudgetExceeded, _refinement_greedy, separator_masks
 
 PG_ORDERS = (2, 3, 4, 5, 7, 8, 9)
 HADAMARD_DESIGN_ORDERS = (8, 12, 16, 20)
@@ -231,7 +231,7 @@ def _refinement_greedy_on_partitions(n_items, partitions):
     rows = [[0] * n_items for _ in parts]
     for part, row in zip(parts, rows):
         for i, m in enumerate(part):
-            for x in _members(m):
+            for x in _bits(m):
                 row[x] |= 1 << i
     return _refinement_greedy(n_items, parts, rows)
 

@@ -149,6 +149,14 @@ def test_hadamard_check_needs_an_n_by_n_sign_matrix():
     assert not dd.HadamardMatrix(n=4, rows=doubled).is_orthogonal()
 
 
+def test_hadamard_tensor_product_route():
+    """Order 784 is reached by neither Sylvester doubling nor the quadratic
+    character; it is H(28) x H(28), with orders 196 and 28 read back from
+    the cache."""
+    H, H28 = dd.hadamard_matrix(784), dd.hadamard_matrix(28)
+    assert H.rows == tuple(tuple(x * y for x in a for y in b) for a in H28.rows for b in H28.rows)
+
+
 def test_hadamard_unreachable_order():
     with pytest.raises(dd.ConstructionError, match="tried"):
         dd.hadamard_matrix(6)

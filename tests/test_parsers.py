@@ -2,6 +2,7 @@
 ValueError only, and what the writers emit reads back unchanged."""
 
 import dataclasses
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -126,12 +127,17 @@ FANO_BODY = "0 1 2\n0 3 4\n0 5 6\n1 3 5\n1 4 6\n2 3 6\n2 4 5\n"
     (dd.witness_from_text, "RS full\n0 1 x\n", "bad witness index line: '0 1 x'"),
     (dd.witness_from_text, "RS full\n1.5\n", "bad witness index line: '1.5'"),
     (dd.witness_from_text, "RS nope\n0\n", "bad witness header: 'RS nope'"),
+    (dd.point_complement_design, 2, "need v >= 3, got 2"),
+    (dd.hadamard_matrix, 0, "order 0 must be positive"),
+    (partial(dd.expected_unresolved_std, 2, 2, 1), 5, "s = 5 outside 0..4"),
 ], ids=[
     "sd-token", "sd-short", "sd-long", "sd-tag", "sd-int-tag", "sd-row", "std-row", "sd-empty",
     "g-token", "g-short", "g-tag", "g-bare", "g-3-tokens", "g-edge-token",
-    "rs-token", "rs-float", "rs-head",
+    "rs-token", "rs-float", "rs-head", "kvv-2", "hadamard-0", "net-s",
 ])
 def test_parser_messages(parse, text, message):
+    """Each parser, and each constructor or bound given one bad argument,
+    raises ValueError with its one-line message."""
     with pytest.raises(ValueError) as info:
         parse(text)
     assert str(info.value) == message

@@ -145,6 +145,21 @@ def test_distance_witnesses_match_reference_scan(small_corpus, bfs_distances, da
         )
 
 
+@pytest.mark.parametrize("landmarks, side, message", [
+    ([-1], range(7), "landmark -1 out of range"),
+    ([99], range(7), "landmark 99 out of range"),
+    ([7], [20, 21], "side vertex 20 out of range"),
+], ids=["negative-landmark", "landmark-past-n", "side-past-n"])
+def test_distance_route_rejects_vertices_outside_the_graph(fano, landmarks, side, message):
+    """A landmark or side vertex outside 0..n-1 raises, with the resolving
+    check's message, instead of reading another vertex's layers or dropping
+    the vertex."""
+    g = dd.incidence_graph(fano)
+    with pytest.raises(ValueError) as info:
+        side_resolving_witness(g, landmarks, side)
+    assert str(info.value) == message
+
+
 # ---------------------------------------------------------------------------
 # symmetric-difference histograms
 # ---------------------------------------------------------------------------
@@ -1272,3 +1287,10 @@ def test_verify_witness_roles(fano):
     assert ok
     ok, _ = dd.verify_witness(fano, "full", (0, 1))
     assert not ok
+    # a split set fails on the side whose semi-resolving set is short
+    assert dd.verify_witness(fano, "split", [0, 1, 2, 7]) == (
+        False, "block side: pair (0, 1) is not separated"
+    )
+    assert dd.verify_witness(fano, "split", [0, 7, 8, 9]) == (
+        False, "point side: pair (0, 1) is not separated"
+    )
