@@ -559,6 +559,18 @@ def test_validators_agree_with_the_definitions_on_tiny_designs(reference_valid):
             assert dd.validate_design(d).ok == reference_valid(d), d
 
 
+def test_tiny_designs_report_the_reference_violations(reference_violations):
+    """Every design of _tiny_designs reports the reference's violations in
+    the same words and order.  A symmetric design whose point side passes
+    with lambda = 0 still gets its block-side violation: Ryser's theorem
+    carries the point side over to the blocks only when k > lambda >= 1."""
+    for d in _tiny_designs():
+        assert dd.validate_design(d).violations == reference_violations(d), d
+    d = dd.SymmetricDesign(v=3, k=1, lam=0, blocks=((0,), (0,), (1,)))
+    assert dd.validate_design(d).violations == (
+        "point 0 is incident with 2 blocks, expected k = 1", "lambda = 0 must be at least 1")
+
+
 @settings(derandomize=True, max_examples=400, deadline=None, database=None)
 @given(data=st.data())
 def test_pair_count_violation_matches_reference(corpus, reference_pair_count_violation, data):
