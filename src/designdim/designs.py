@@ -14,12 +14,13 @@ Hadamard-matrix symmetric net).  Correctness never rests on a construction:
 validate_design() decides a design's verdict through its per-type checks
 validate() and validate_std().  Each checks the parameters (a symmetric
 design needs v >= 2 points, a positive order k - lambda and lambda >= 1, a
-net g >= 2 and lambda >= 1), then builds the dual from the design's pencil
-lists and runs the same incidence check on the points of each, counting
-every pair by bit-sliced tallies, one for each run of up to 1 024
-elements; the report lists the parameter violations, then at most one
-violation per side.  Every valid design therefore has pairwise distinct
-pencils and a connected incidence graph.
+net g >= 2 and lambda >= 1), builds the dual from the design's pencil
+lists and runs one incidence check on the points of each, counting every
+pair by bit-sliced tallies in runs of up to 1 024 elements; a symmetric
+design's block side follows from its point side (Ryser's theorem) and runs
+only to report a failure.  The report lists the parameter violations, then
+at most one violation per side.  Every valid design therefore has pairwise
+distinct pencils and a connected incidence graph.
 
 All objects are immutable after construction and safe to share across
 threads.  Points and blocks are dense 0-based integer indices.
@@ -526,11 +527,14 @@ def _both_sides(d: Design, bmasks) -> list[str]:
     at most one violation per side.  The dual is built here, once, and kept
     on d; a net's dual-side violation says that the dual is not a
     transversal design.  bmasks, checked against the point range, are kept
-    on d as its block masks."""
+    on d as its block masks.  A symmetric design with k > lambda >= 1 and a
+    passing point side has NN^T = (k - lambda)I + lambda J, N nonsingular,
+    so N^T N = NN^T (Ryser): its block side runs only to report a failure."""
     _derived(d, "block_masks", lambda d: tuple(bmasks))
     e = _derived(d, "dual", _build_dual)
     points = _side_violation(d, e, ("point", "block"))
-    blocks = _side_violation(e, d, ("block", "point"))
+    follows = not points and isinstance(d, SymmetricDesign) and d.k > d.lam >= 1
+    blocks = None if follows else _side_violation(e, d, ("block", "point"))
     if blocks and isinstance(d, TransversalDesign):
         blocks = f"dual is not a transversal design: {blocks}"
     return [hit for hit in (points, blocks) if hit]
@@ -540,7 +544,8 @@ def validate(d: SymmetricDesign) -> ValidationReport:
     """Check the parameters v >= 2, k - lambda >= 1, v blocks, the order
     bounds 4q-1 <= v <= q^2+q+1 when q >= 2 and lambda >= 1 (lambda = 0
     leaves only the v disjoint edges of k = 1), and, when there are v
-    blocks, run the incidence check on the design and on its dual.
+    blocks, run the incidence check on the design and, unless Ryser's
+    theorem settles it (see _both_sides), on its dual.
     Violations are reported (at most one per side), never raised; the
     lambda check comes last, so it never hides another violation."""
     violations = []
@@ -611,8 +616,8 @@ def dual(d: Design) -> Design:
     """Swap the roles of points and blocks.  For a symmetric design the
     parameters are unchanged; for a symmetric transversal design the dual's
     point classes are the parallel classes of the input.  Built once per
-    design object, by its validation; every call returns it.  d's check ran
-    on both sides of the dual, which keeps d's verdict."""
+    design object, by its validation; every call returns it.  d's verdict
+    covers both sides (see _both_sides), so the dual keeps it."""
     require_valid(d)
     e = _derived(d, "dual", _build_dual)
     _derived(e, "validation", lambda e: validate_design(d))

@@ -844,6 +844,9 @@ def verify_witness(subject: Design | IncidenceGraph, role: str, indices) -> tupl
     )
     if any(not 0 <= i < size for i in indices):
         return False, f"{kind} index out of range"
+    ordered = sorted(indices)
+    if repeated := [a for a, b in zip(ordered, ordered[1:]) if a == b]:
+        return False, f"{kind} index {repeated[0]} repeated"
 
     def check_semi(design, blocks, landmark_vertices, side_vertices):
         w_mask = semi_resolving_witness(design, blocks)

@@ -139,6 +139,19 @@ def test_verify_empty_witness_fails(capsys, tmp_path):
     assert "(0, 1)" in report["detail"]
 
 
+def test_verify_repeated_index_fails(capsys, tmp_path):
+    """Four block indices with one twice name three blocks: rejected with
+    exit 1, not verified as a set of four."""
+    design = _construct(capsys, tmp_path, "pg", 2, "fano.sd")
+    witness = tmp_path / "repeated.rs"
+    witness.write_text("RS semi-points\n0 0 1 2\n")
+    code, out, _ = _run(capsys, "verify", str(design), str(witness))
+    assert code == 1
+    report = json.loads(out)
+    assert report["verified"] is False
+    assert report["detail"] == "block index 0 repeated"
+
+
 def test_verify_truncated_design_exits_two(capsys, tmp_path):
     bad = tmp_path / "trunc.sd"
     bad.write_text("SD 7 3 1\n0 1 2\n")

@@ -571,6 +571,29 @@ def test_tiny_designs_report_the_reference_violations(reference_violations):
         "point 0 is incident with 2 blocks, expected k = 1", "lambda = 0 must be at least 1")
 
 
+def test_a_valid_symmetric_design_is_checked_on_one_side():
+    """On fresh design objects: a valid symmetric design runs the side
+    check once, as its block side follows from its point side; a failing
+    one, and every net, valid or not, runs it on both sides."""
+    def moved(d):
+        blocks = [list(b) for b in d.blocks]
+        blocks[0][0] = min(set(range(d.point_count)) - set(blocks[0]))
+        return dataclasses.replace(d, blocks=tuple(tuple(sorted(b)) for b in blocks))
+
+    for build, ok, calls in (
+            (lambda: dd.projective_plane(3), True, 1),
+            (lambda: dd.hadamard_design(dd.hadamard_matrix(16)), True, 1),
+            (lambda: moved(dd.projective_plane(3)), False, 2),
+            (lambda: dd.biaffine_plane(3), True, 2),
+            (lambda: dd.hadamard_std(dd.hadamard_matrix(8)), True, 2),
+            (lambda: moved(dd.hadamard_std(dd.hadamard_matrix(8))), False, 2)):
+        d = build()
+        with mock.patch.object(designs, "_side_violation",
+                               wraps=designs._side_violation) as side:
+            assert dd.validate_design(d).ok is ok, d
+        assert side.call_count == calls, d
+
+
 @settings(derandomize=True, max_examples=400, deadline=None, database=None)
 @given(data=st.data())
 def test_pair_count_violation_matches_reference(corpus, reference_pair_count_violation, data):

@@ -1264,6 +1264,7 @@ def test_verify_witness_on_a_graph_takes_only_full(fano):
     g = dd.from_edge_text(dd.to_edge_text(dd.incidence_graph(fano)))
     assert dd.verify_witness(g, "full", range(g.n)) == (True, "resolves the graph")
     assert dd.verify_witness(g, "full", (0, g.n)) == (False, "vertex index out of range")
+    assert dd.verify_witness(g, "full", (9, 3, 9, 3)) == (False, "vertex index 3 repeated")
     for role in ("semi-points", "semi-blocks", "split"):
         with pytest.raises(ValueError, match="only role 'full'"):
             dd.verify_witness(g, role, (0,))
@@ -1294,3 +1295,12 @@ def test_verify_witness_roles(fano):
     assert dd.verify_witness(fano, "split", [0, 7, 8, 9]) == (
         False, "point side: pair (0, 1) is not separated"
     )
+    # a repeated index is named, the lowest first, before any check runs
+    assert dd.verify_witness(fano, "semi-points", (0, 0, 1, 2)) == (
+        False, "block index 0 repeated")
+    assert dd.verify_witness(fano, "semi-blocks", (5, 2, 5, 2)) == (
+        False, "point index 2 repeated")
+    assert dd.verify_witness(fano, "split", (0, 1, 2, 7, 7, 8)) == (
+        False, "vertex index 7 repeated")
+    assert dd.verify_witness(fano, "full", (*mu_set, mu_set[-1])) == (
+        False, f"vertex index {mu_set[-1]} repeated")
