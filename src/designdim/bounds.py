@@ -187,12 +187,10 @@ def inequality_chain(v: int, m: int, s: int | None = None) -> ChainReport:
         half_square = Fraction(v * v, 2)
         exp_power = ((Decimal(m) / Decimal(v)).exp()) ** s
         quad_power = Fraction(v * v + m * v + m * m, v * v) ** s
-        prod_num = prod_den = 1
-        for i in range(s):
-            prod_num *= v - i
-            prod_den *= v - m - i
-        product = Fraction(prod_num, prod_den)
-        ratio = Fraction(comb(v, s), comb(v - m, s))
+        # prod_{i<s} (v-i)/(v-m-i) as falling factorials; the ratio from E,
+        # which is positive here (s <= v - m)
+        product = Fraction(math.perm(v, s), math.perm(v - m, s))
+        ratio = pairs / expected
         links = (
             _link("C(v,2) < v^2/2", pairs, half_square),
             _link("v^2/2 < exp(m/v)^s", _dec(half_square), exp_power),

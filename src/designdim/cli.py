@@ -200,6 +200,8 @@ def _cmd_bounds(args) -> int:
             writer.writerow(row)
         sys.stdout.write(buf.getvalue())
         return EXIT_OK
+    if args.mc_trials:
+        raise ValueError("--mc-trials applies only to --sweep")
     if args.design:
         d = _load(args.design)
         designs.require_valid(d)
@@ -321,7 +323,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--sweep", choices=["pg"], default=None)
     p.add_argument("--qmax", type=int, default=11)
-    p.add_argument("--mc-trials", type=int, default=0)
+    p.add_argument(
+        "--mc-trials", type=int, default=0, help="with --sweep: Monte Carlo trials per row"
+    )
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_bounds)
 

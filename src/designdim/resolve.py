@@ -27,9 +27,11 @@ plain search.
 Point pairs x < y are taken y-major (by y, then by x); reported witnesses
 are the first pair in that order.  All randomness is one seeded sample
 stream, shared by the random solver and the Monte Carlo rate in bounds:
-trial t of a 64-bit seed expands (seed, t) with a splitmix-style mixer, so
-runs are reproducible and independent of PYTHONHASHSEED.  verify_witness
-checks every witness, on a design or on a graph read from an edge list.
+trial t of a 64-bit seed expands (seed, t) with a splitmix-style mixer and
+seeds MT19937 with it, and each shuffle step takes the first getrandbits(k)
+below its width w (k = w.bit_length()), so runs are reproducible and
+independent of PYTHONHASHSEED.  verify_witness checks every witness, on a
+design or on a graph read from an edge list.
 """
 
 from __future__ import annotations
@@ -192,16 +194,27 @@ _MASK64 = (1 << 64) - 1
 
 def _seeded_samples(n: int, s: int, seed: int, trials: int):
     """The one seeded sample stream: for trial t = 1..trials, the bitset of
-    s distinct values of range(n), drawn by a partial Fisher-Yates shuffle
-    from a generator seeded with the splitmix64 finalizer of (seed, t)."""
+    s distinct values of range(n), drawn by a partial Fisher-Yates shuffle.
+    Trial t seeds MT19937 (random.Random's generator) with the splitmix64
+    finalizer of (seed, t); step i swaps idx[i] with idx[i + r], where r is
+    the first getrandbits(k) below the width w = n - i, k = w.bit_length().
+    These are the draws random.Random.randrange(i, n) makes, spelled out so
+    the stream is defined by the generator alone."""
+    rng = random.Random()
+    getrandbits = rng.getrandbits
     for trial in range(1, trials + 1):
         x = (seed * 0x9E3779B97F4A7C15 + trial) & _MASK64
         x = (x ^ x >> 30) * 0xBF58476D1CE4E5B9 & _MASK64
         x = (x ^ x >> 27) * 0x94D049BB133111EB & _MASK64
-        rng = random.Random(x ^ x >> 31)
+        rng.seed(x ^ x >> 31)
         idx = list(range(n))
         for i in range(s):
-            j = rng.randrange(i, n)
+            w = n - i
+            k = w.bit_length()
+            r = getrandbits(k)
+            while r >= w:
+                r = getrandbits(k)
+            j = i + r
             idx[i], idx[j] = idx[j], idx[i]
         yield _mask(idx[:s])
 

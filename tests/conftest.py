@@ -1,4 +1,5 @@
 import itertools
+import random
 from collections import deque
 from fractions import Fraction
 from math import comb
@@ -220,6 +221,28 @@ def _reference_refinement_greedy(n_items, partitions):
 @pytest.fixture(scope="session")
 def reference_refinement_greedy():
     return _reference_refinement_greedy
+
+
+def _reference_seeded_samples(n, s, seed, trials):
+    """Test oracle: the seeded sample stream by its randrange definition, a
+    fresh random.Random per trial seeded with the splitmix64 finalizer of
+    (seed, t) and a partial Fisher-Yates shuffle by randrange(i, n)."""
+    mask64 = (1 << 64) - 1
+    for trial in range(1, trials + 1):
+        x = (seed * 0x9E3779B97F4A7C15 + trial) & mask64
+        x = (x ^ x >> 30) * 0xBF58476D1CE4E5B9 & mask64
+        x = (x ^ x >> 27) * 0x94D049BB133111EB & mask64
+        rng = random.Random(x ^ x >> 31)
+        idx = list(range(n))
+        for i in range(s):
+            j = rng.randrange(i, n)
+            idx[i], idx[j] = idx[j], idx[i]
+        yield _mask(idx[:s])
+
+
+@pytest.fixture(scope="session")
+def reference_seeded_samples():
+    return _reference_seeded_samples
 
 
 def _refinement_greedy_on_partitions(n_items, partitions):

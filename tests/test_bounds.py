@@ -136,6 +136,17 @@ def test_chain_product_equals_binomial_ratio_exactly():
     assert final.holds and final.margin == 0.0
 
 
+def test_chain_holds_for_order_257_plane():
+    """PG(2,257), v = 66 307, m = 514: s = 2 865, every link holds, and
+    the falling-factorial product prints as the ratio C(v,2) / E."""
+    report = dd.inequality_chain(66307, 514)
+    assert not report.skipped and report.ok and report.equivalence_holds
+    assert all(link.holds for link in report.links)
+    final = report.links[-1]
+    assert final.name == "prod(1+m/(v-m-i)) == C(v,s)/C(v-m,s)"
+    assert final.lhs == final.rhs
+
+
 def test_exp_below_quadratic_for_small_argument():
     # e^t < 1 + t + t^2 on 0 < t < 1, spot value t = 4/7
     with localcontext() as ctx:

@@ -412,6 +412,10 @@ def test_design_file_exit_codes(capsys, tmp_path, command, text, want):
     (["bounds", "--design", "FANO", "--s", "100"], 2, "s = 100 outside 0..7"),
     (["bounds", "--design", "FANO"], 2, "give --s or --bound-s with --design"),
     (["bounds", "--sweep", "pg", "--qmax", "1"], 2, "qmax = 1 must be at least 2"),
+    (["bounds", "--design", "FANO", "--bound-s", "--mc-trials", "50"], 2,
+     "--mc-trials applies only to --sweep"),
+    (["bounds", "--v", "7", "--m", "4", "--s", "3", "--mc-trials", "50"], 2,
+     "--mc-trials applies only to --sweep"),
     (["resolve", "FANO", "--method", "exact", "--budget", "0"], 2,
      "node budget 0 must be positive"),
     (["resolve", "FANO", "--method", "exact", "--target", "split", "--budget", "0"], 2,
@@ -422,6 +426,7 @@ def test_design_file_exit_codes(capsys, tmp_path, command, text, want):
      "no semi-resolving sample in 3 trials (best trial left 9 pairs unresolved)"),
     (["resolve", "FANO", "--method", "exact", "--budget", "1"], 1, "node budget 1 exceeded"),
 ], ids=["s", "split-s", "retries", "limit", "mc-trials", "bounds-s", "bounds-no-s", "qmax",
+        "design-mc-trials", "chain-mc-trials",
         "budget-0", "split-budget-0", "full-budget-0", "exhausted", "budget"])
 def test_option_exit_codes(capsys, tmp_path, argv, want, err):
     """Options the valid input does not support exit 2; a solver that gives

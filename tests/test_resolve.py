@@ -345,6 +345,16 @@ def test_seeded_samples_are_pinned(corpus):
         assert got == want, (name, s)
 
 
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 64, 65, 273])
+def test_seeded_samples_match_the_randrange_definition(reference_seeded_samples, n):
+    """The stream draws what randrange(i, n) drew, rejection loop included:
+    widths 2^j and 2^j + 1 (n = 8, 9, 64, 65) reject the most draws."""
+    for s in sorted({0, 1, n // 2, n}):
+        for seed in (0, 7, 2**40 + 3, 2**64 - 1, -1):
+            got = list(resolve._seeded_samples(n, s, seed, 30))
+            assert got == list(reference_seeded_samples(n, s, seed, 30)), (n, s, seed)
+
+
 def test_markov_style_success_frequency(fano):
     """With E = 3/5 at s = 3, at least a 2/5 fraction of samples succeed."""
     exact = dd.exhaustive_success_rate(fano, 3)
