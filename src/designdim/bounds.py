@@ -166,21 +166,26 @@ def _link(name: str, lhs, rhs, equality: bool = False) -> ChainLink:
 
 def inequality_chain(v: int, m: int, s: int | None = None) -> ChainReport:
     """Evaluate every link of the existence certificate at sample size
-    s = ceil(2*v*ln(v)/m) (or as given).  The telescoping product is compared
-    with the binomial ratio as an exact equality; exp links get 50-digit
-    decimals and must clear a 1e-9 relative slack to avoid the marginal flag."""
+    s = ceil(2*v*ln(v)/m) (or as given, within 0..v).  The telescoping
+    product is compared with the binomial ratio as an exact equality; exp
+    links get 50-digit decimals and must clear a 1e-9 relative slack to
+    avoid the marginal flag.  Whenever s > v - m, every s-sample meets every
+    separator, so the report is skipped with expected = 0; that includes a
+    default s past v."""
     if v < 2:
         raise ValueError(f"v = {v} must be at least 2")
     if not 0 < m < v:
         raise ValueError(f"need 0 < m < v, got m = {m}, v = {v}")
     if s is None:
         s = _sample_bound(v, m)
-    expected = expected_unresolved(v, m, s)
+    elif not 0 <= s <= v:
+        raise ValueError(f"s = {s} outside 0..{v}")
     if s > v - m:
         return ChainReport(
-            v=v, m=m, s=s, skipped=True, expected=expected, links=(),
+            v=v, m=m, s=s, skipped=True, expected=Fraction(0), links=(),
             equivalence_holds=None,
         )
+    expected = expected_unresolved(v, m, s)
     with localcontext() as ctx:
         ctx.prec = DECIMAL_PRECISION
         pairs = Fraction(comb(v, 2))

@@ -186,6 +186,8 @@ def _chain_payload(report) -> dict:
 
 def _cmd_bounds(args) -> int:
     if args.sweep:
+        if args.design or args.bound_s or (args.v, args.m, args.s) != (None, None, None):
+            raise ValueError("--design, --v, --m, --s and --bound-s do not apply to --sweep")
         rows = bounds_mod.projective_plane_sweep(
             args.qmax, mc_trials=args.mc_trials, seed=args.seed
         )

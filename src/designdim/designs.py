@@ -175,6 +175,19 @@ def _tally_is(planes, count: int, scope: int) -> int:
     return 0 if count >> len(planes) else scope
 
 
+def _count_is(masks, count: int, scope: int) -> int:
+    """The bits of scope held by exactly count of masks.  A count of 0 or 1
+    needs no tally: two running masks, the bits seen at least once and at
+    least twice, take three big-int operations per mask."""
+    if count > 1:
+        return _tally_is(_tally(masks), count, scope)
+    once = twice = 0
+    for m in masks:
+        twice |= once & m
+        once |= m
+    return scope & once & ~twice if count else scope & ~once
+
+
 def block_masks(d: Design) -> list[int]:
     """Each block as a bitset over the point universe.  Computed once per
     design object; every call returns a fresh list."""
@@ -205,34 +218,39 @@ def projective_plane(q: int) -> SymmetricDesign:
     points, 2-dimensional subspaces as blocks; parameters (q^2+q+1, q+1, 1).
     Points and lines are the same normalized vectors in the same order, and
     point x lies on line l when l . x = 0, so the incidence matrix is
-    symmetric.  Each line's q + 1 points are solved for directly, in O(q)
-    field operations, rather than found by testing every point."""
+    symmetric.  The points (1, y, z) come first, at y*q + z, then (0, 1, z)
+    at q^2 + z, then (0, 0, 1) at q^2 + q.
+
+    Each line is read from the field's q x q addition and multiplication
+    tables, already sorted.  A line (a, b, c) with c != 0 is z = alpha +
+    beta*y with alpha = -a/c and beta = -b/c: the points y*q +
+    add[alpha][mul[beta][y]] for y = 0..q-1, then q^2 + beta.  With c = 0
+    and b != 0 it is y = -a/b with every z, then (0, 0, 1); the line at
+    infinity (1, 0, 0) is the last q + 1 points."""
     pp = prime_power(q)
     if pp is None:
         raise ConstructionError(f"{q} is not a prime power")
     F = make_field(*pp)
+    add = [[F.add(a, z) for z in F.elements] for a in F.elements]
+    mul = [[F.mul(b, y) for y in F.elements] for b in F.elements]
+    neg_inv = [0] + [F.neg(F.inv(c)) for c in range(1, q)]  # -1/c
+    starts, top = range(0, q * q, q), q * q  # the first index of each y, and of (0, 1, z)
+
+    def line(a, b, c):
+        if c:
+            alpha, beta = mul[a][neg_inv[c]], mul[b][neg_inv[c]]
+            shift = add[alpha]
+            return (*[start + shift[m] for start, m in zip(starts, mul[beta])], top + beta)
+        if b:
+            start = mul[a][neg_inv[b]] * q
+            return (*range(start, start + q), top + q)
+        return tuple(range(top, top + q + 1))
+
     pts = [(1, b, c) for b in F.elements for c in F.elements]
     pts += [(0, 1, c) for c in F.elements]
     pts.append((0, 0, 1))
-    index = {pt: i for i, pt in enumerate(pts)}
-    blocks = []
-    for a, b, c in pts:
-        if c:
-            # z = -(a + b y)/c for each y, and (0, 1, -b/c)
-            m = F.neg(F.inv(c))
-            on = [(1, y, F.mul(m, F.add(a, F.mul(b, y)))) for y in F.elements]
-            on.append((0, 1, F.mul(m, b)))
-        elif b:
-            # y = -a/b with every z, and (0, 0, 1)
-            y = F.neg(F.div(a, b))
-            on = [(1, y, z) for z in F.elements]
-            on.append((0, 0, 1))
-        else:
-            # the line at infinity x = 0
-            on = [(0, 1, z) for z in F.elements]
-            on.append((0, 0, 1))
-        blocks.append(tuple(sorted(index[pt] for pt in on)))
-    return SymmetricDesign(v=q * q + q + 1, k=q + 1, lam=1, blocks=tuple(blocks))
+    blocks = tuple(line(*pt) for pt in pts)
+    return SymmetricDesign(v=q * q + q + 1, k=q + 1, lam=1, blocks=blocks)
 
 
 def point_complement_design(v: int) -> SymmetricDesign:

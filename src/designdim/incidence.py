@@ -14,8 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .designs import (
-    Design, _bits, _derived, _tally, _tally_is, block_masks, content_lines, dual, int_line,
-    require_valid,
+    Design, _bits, _count_is, _derived, block_masks, content_lines, dual, int_line, require_valid,
 )
 
 
@@ -159,8 +158,18 @@ def intersection_array(g: IncidenceGraph) -> IntersectionArray | NotDistanceRegu
     for i >= 1, and each middle layer 1 < i < d tallies one more count,
     the smaller of down and up: one tally of the layers Gamma_(i-1)(x)
     (or Gamma_(i+1)(x)) of the neighbors x of w counts it for every u in
-    Gamma_i(w) at once."""
-    layers, nbr, d = g.layers, g.nbr, g.diameter
+    Gamma_i(w) at once.  A count of 0 or 1 (c_2 = lambda = 1 on planes,
+    b_3 = 1 on nets) takes two running masks instead of a tally.
+
+    A bipartite graph of diameter 3 first tallies its middle layer for the
+    vertices w of side 0 only; the degree checks still run for every
+    vertex.  If that scan finds no conflict, the graph is k-regular with
+    sides of equal size and every two vertices of side 0 share c_2
+    neighbors, so its biadjacency matrix N has N N^T = (k - c_2) I + c_2 J
+    with k > c_2 (k = c_2 would make it complete bipartite, of diameter 2).
+    By Ryser's theorem N^T N is the same matrix, so side 1 passes too.  If
+    it finds a conflict, the full scan runs and returns its witness."""
+    layers, nbr, d, part = g.layers, g.nbr, g.diameter, g.part
 
     def counts(u, w, i):
         m = nbr[w]
@@ -178,21 +187,33 @@ def intersection_array(g: IncidenceGraph) -> IntersectionArray | NotDistanceRegu
     for i in range(2, d):
         down, _, up = firsts[i][1]
         tallied[i] = (i - 1, down) if down <= up else (i + 1, up)
-    witness, lower = None, (1 << g.n) - 1  # lower: the u that would beat it
-    for w, ns in enumerate(g.adj):
-        for i, scope in enumerate(layers[w]):
-            if not (scope := scope & lower):
-                continue
-            down, same, up = firsts[i][1]
-            good = scope if len(ns) == down + same + up else 0
-            if i and good and g.part is None:
-                good = _tally_is(_tally(layers[x][i] & good for x in ns), same, good)
-            if good and tallied[i]:
-                j, count = tallied[i]
-                good = _tally_is(_tally(layers[x][j] & good for x in ns), count, good)
-            if bad := scope & ~good:
-                u = next(_bits(bad))
-                witness, lower = (u, w, i), (1 << u) - 1
+
+    def conflicts(skip):
+        """Yield each conflicting (u, w, i) whose u is below every earlier
+        one, so the last is the lowest pair; a w of side skip tallies no
+        middle layer."""
+        lower = (1 << g.n) - 1  # the u that would beat the last conflict
+        for w, ns in enumerate(g.adj):
+            middle = part is None or part[w] != skip
+            for i, scope in enumerate(layers[w]):
+                if not (scope := scope & lower):
+                    continue
+                down, same, up = firsts[i][1]
+                good = scope if len(ns) == down + same + up else 0
+                if i and good and part is None:
+                    good = _count_is((layers[x][i] for x in ns), same, good)
+                if good and middle and tallied[i]:
+                    j, count = tallied[i]
+                    good = _count_is((layers[x][j] for x in ns), count, good)
+                if bad := scope & ~good:
+                    u = next(_bits(bad))
+                    yield u, w, i
+                    lower = (1 << u) - 1
+
+    witness = None
+    if part is None or d != 3 or next(conflicts(1), None):
+        for witness in conflicts(None):
+            pass
     if witness:
         u, w, i = witness
         return NotDistanceRegular(

@@ -116,6 +116,21 @@ def test_chain_skipped_when_sample_covers_everything():
     assert report.links == ()
 
 
+@pytest.mark.parametrize("v, m, s", [(7, 1, 28), (7, 2, 14), (13, 1, 67), (2, 1, 3)])
+def test_chain_skipped_when_default_sample_exceeds_v(v, m, s):
+    """The default s = ceil(2 v ln v / m) can pass v itself; the report is
+    then skipped with expected 0, like any s > v - m."""
+    report = dd.inequality_chain(v, m)
+    assert (report.s, report.skipped, report.expected) == (s, True, 0)
+    assert report.links == () and report.equivalence_holds is None
+
+
+def test_chain_rejects_a_given_sample_outside_0_to_v():
+    for s in (-1, 8):
+        with pytest.raises(ValueError, match=f"s = {s} outside 0..7"):
+            dd.inequality_chain(7, 4, s)
+
+
 def test_chain_holds_for_order_seven_plane():
     report = dd.inequality_chain(57, 14)
     assert report.s == 33

@@ -416,6 +416,12 @@ def test_design_file_exit_codes(capsys, tmp_path, command, text, want):
      "--mc-trials applies only to --sweep"),
     (["bounds", "--v", "7", "--m", "4", "--s", "3", "--mc-trials", "50"], 2,
      "--mc-trials applies only to --sweep"),
+    (["bounds", "--sweep", "pg", "--qmax", "3", "--v", "7", "--s", "99", "--design", "FANO"], 2,
+     "--design, --v, --m, --s and --bound-s do not apply to --sweep"),
+    (["bounds", "--sweep", "pg", "--qmax", "3", "--m", "4"], 2,
+     "--design, --v, --m, --s and --bound-s do not apply to --sweep"),
+    (["bounds", "--sweep", "pg", "--qmax", "3", "--bound-s"], 2,
+     "--design, --v, --m, --s and --bound-s do not apply to --sweep"),
     (["resolve", "FANO", "--method", "exact", "--budget", "0"], 2,
      "node budget 0 must be positive"),
     (["resolve", "FANO", "--method", "exact", "--target", "split", "--budget", "0"], 2,
@@ -426,7 +432,7 @@ def test_design_file_exit_codes(capsys, tmp_path, command, text, want):
      "no semi-resolving sample in 3 trials (best trial left 9 pairs unresolved)"),
     (["resolve", "FANO", "--method", "exact", "--budget", "1"], 1, "node budget 1 exceeded"),
 ], ids=["s", "split-s", "retries", "limit", "mc-trials", "bounds-s", "bounds-no-s", "qmax",
-        "design-mc-trials", "chain-mc-trials",
+        "design-mc-trials", "chain-mc-trials", "sweep-chain-args", "sweep-m", "sweep-bound-s",
         "budget-0", "split-budget-0", "full-budget-0", "exhausted", "budget"])
 def test_option_exit_codes(capsys, tmp_path, argv, want, err):
     """Options the valid input does not support exit 2; a solver that gives

@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import designdim as dd
+from designdim import incidence
+from designdim.designs import _count_is, _tally, _tally_is
 
 
 def _degrees(g):
@@ -278,6 +280,63 @@ def test_intersection_array_matches_reference_on_switched_incidences(
     g = dd.IncidenceGraph(adj, point_count=v)
     assert _degrees(g) == [d.k] * g.n and g.part is not None
     assert dd.intersection_array(g) == reference_intersection_array(g)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(masks=st.lists(st.integers(0, (1 << 70) - 1), max_size=12),
+       scope=st.integers(-1, (1 << 70) - 1), count=st.integers(0, 1))
+def test_two_mask_count_matches_the_tally(masks, scope, count):
+    """Counts of 0 and 1 by the masks seen once and twice, fed one pass."""
+    assert _count_is(iter(masks), count, scope) == _tally_is(_tally(masks), count, scope)
+
+
+def _switched_graph(d, a, b, label):
+    """The incidence graph of d with blocks a and b swapping their least
+    non-shared points, point x at label(x) and block j at label(v + j)."""
+    blocks = [set(blk) for blk in d.blocks]
+    swap = {min(blocks[a] - blocks[b]), min(blocks[b] - blocks[a])}
+    blocks[a] ^= swap
+    blocks[b] ^= swap
+    v = d.point_count
+    adj = [[] for _ in range(2 * v)]
+    for j, blk in enumerate(blocks):
+        for x in blk:
+            adj[label(x)].append(label(v + j))
+            adj[label(v + j)].append(label(x))
+    return dd.IncidenceGraph(adj)
+
+
+def test_a_symmetric_design_graph_tallies_one_side(corpus, reference_intersection_array,
+                                                   monkeypatch):
+    """On a valid symmetric design the middle layer is counted for the w of
+    side 0 only (side 1 follows by Ryser's theorem).  A switched incidence
+    counts side 1 too, in the full scan, with the reference's witness: at
+    diameter 4 (pg3, where a switch leaves two points on no common line) as
+    the only scan, and at diameter 3 (hd16, points and blocks interleaved
+    so that block 0 is vertex 1) after a conflict in the first scan, whose
+    lowest pair is then on side 1."""
+    sides = []
+
+    def count_is(masks, count, scope):
+        sides.append(g.part[(scope & -scope).bit_length() - 1])  # scope lies in w's side
+        return _count_is(masks, count, scope)
+
+    monkeypatch.setattr(incidence, "_count_is", count_is)
+    for name in ("pg3", "hd16"):
+        g = dd.incidence_graph(corpus[name])
+        sides.clear()
+        assert dd.intersection_array(g) == reference_intersection_array(g), name
+        assert sides == [0] * corpus[name].v, name
+    v = corpus["hd16"].v
+    for g, diameter, u in (
+            (_switched_graph(corpus["pg3"], 0, 1, lambda x: x), 4, 2),
+            (_switched_graph(corpus["hd16"], 0, 2, lambda x: 2 * x if x < v else 2 * (x - v) + 1),
+             3, 1)):
+        sides.clear()
+        result = dd.intersection_array(g)
+        assert result == reference_intersection_array(g)
+        assert (g.diameter, g.part is not None, result.pair[0]) == (diameter, True, u)
+        assert 1 in sides
 
 
 # ---------------------------------------------------------------------------
