@@ -23,13 +23,15 @@ enumerate every s-subset of the blocks in truth tables: 2^w-bit integers
 whose bit t stands for the subset t of the first w blocks, so one big-int
 operation tests 2^w subsets at once.  Each assignment of the v - w blocks
 past them that leaves 0..w of the s blocks to the table is a chunk of its
-own, and a chunk costs about one table operation per block of each
-separator that its high blocks miss.  w is v up to TABLE_BITS blocks;
-past that it is chosen from s and v, trading the number of chunks against
-the table size, so small s takes narrow tables.  Memory stays at a few
-dozen tables for any v: about 0.25 MiB of heap on PG(2,4), v = 21.  On a
-2-core x86-64 host v = 25 takes about 0.5 s at s = 12, and PG(2,7),
-v = 57, about 0.6 s at s = 2 and 11 s at s = 3 (8-bit and 9-bit tables).
+own.  In a chunk each separator that its high blocks miss costs about two
+table widths of work: its miss table is doubled up, one block at a time,
+from a looked-up table of its first LOOKUP_BITS blocks, and dropped once
+scored.  w is v up to TABLE_BITS blocks; past that it is chosen from s
+and v, trading the number of chunks against the table size, so small s
+takes narrow tables.  Memory stays at a few dozen tables for any v: about
+0.2 MiB of heap on PG(2,4), v = 21.  On a 2-core x86-64 host v = 25 takes
+about 0.15 s at s = 12, and PG(2,7), v = 57, about 0.3 s at s = 2 and 5.5 s
+at s = 3 (8-bit and 9-bit tables).
 """
 
 from __future__ import annotations
@@ -38,13 +40,13 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal, getcontext, localcontext
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from itertools import combinations
 from math import comb
 from operator import or_
 
 from .designs import (
-    Design, SymmetricDesign, _bits, _mask, _tally, _tally_is, pencil_masks, projective_plane,
+    Design, SymmetricDesign, _mask, _tally, _tally_is, pencil_masks, projective_plane,
 )
 from .fields import prime_power
 from .resolve import _sample_bound, _seeded_samples, _signature_collision, separator_masks
@@ -53,6 +55,7 @@ DECIMAL_PRECISION = 50  # digits; >= 80 effective bits with margin to spare
 MARGINAL_SLACK = 1e-9
 TABLE_BITS = 16  # blocks per truth table at most: 2^16-bit (8 KiB) tables
 OP_BITS = 1 << 12  # a table op's fixed cost in table bits, fitted to PG(2,5) and PG(2,7) runs
+LOOKUP_BITS = 8  # blocks whose miss tables are looked up, not doubled: 2^8 tables of 2^8 bits
 
 
 def expected_unresolved(v: int, m: int, s: int) -> Fraction:
@@ -332,6 +335,41 @@ def _table_width(v: int, s: int) -> int:
     return min(range(1, TABLE_BITS + 1), key=cost)
 
 
+@cache
+def _lookup_tables(r: int) -> tuple[int, ...]:
+    """For each p < 2^r, the 2^r-bit table of the subsets of the first r
+    blocks that miss p.  Each block doubles the tables of the p without it
+    and keeps those of the p with it."""
+    tables = [1]
+    for b in range(r):
+        half = 1 << b
+        tables = [t | t << half for t in tables] + tables
+    return tuple(tables)
+
+
+@cache
+def _doublings(r: int, w: int) -> tuple[tuple[int, ...], ...]:
+    """For each p < 2^(w-r), the shifts 2^b of the blocks b = r..w-1 that
+    p << r misses, built like _lookup_tables: each block adds its shift for
+    the p without it."""
+    steps = [()]
+    for b in range(r, w):
+        half = 1 << b
+        steps = [t + (half,) for t in steps] + steps
+    return tuple(steps)
+
+
+def _avoiding(t: int, shifts) -> int:
+    """A separator's miss table over the first w blocks, the subsets that
+    miss it, from t, its table over the first r, and its _doublings shifts:
+    each block past r outside the separator copies the table so far into a
+    new upper half (the same subsets with that block added), and each block
+    in it leaves that half empty.  About two table widths of work."""
+    for half in shifts:
+        t |= t << half
+    return t
+
+
 def _subset_average(d: Design, s: int, score) -> Fraction:
     """The exact average over every s-subset of the blocks, by full
     enumeration in truth tables.  The first _table_width(v, s) blocks span
@@ -339,17 +377,21 @@ def _subset_average(d: Design, s: int, score) -> Fraction:
     in a loop.  score(size, misses) gets the chunk's table of s-subsets and
     a stream of tables, one per point pair whose separator (pencil
     symmetric difference) the chunk's high blocks miss: the s-subsets that
-    miss that separator too.  It returns the chunk's integer total."""
+    miss that separator too, that table and the separator's _avoiding
+    table.  Each miss table is built as the stream reaches it, so none
+    outlives its score; a separator keeps only its looked-up table of the
+    first LOOKUP_BITS blocks and its shifts.  It returns the chunk's integer
+    total."""
     v = d.v
     if not 0 <= s <= v:
         raise ValueError(f"s = {s} outside 0..{v}")
     w = _table_width(v, s)
-    var = _truth_tables(w)
-    planes = _tally(var)
+    r = min(w, LOOKUP_BITS)
+    planes = _tally(_truth_tables(w))
+    lookup, doublings = _lookup_tables(r), _doublings(r, w)
     full, low = (1 << (1 << w)) - 1, (1 << w) - 1
-    # each separator's high blocks, and the tables of its low blocks
     separators = [
-        (sep & ~low, [var[b] for b in _bits(sep & low)])
+        (sep & ~low, lookup[sep & ((1 << r) - 1)], doublings[(sep & low) >> r])
         for sep in separator_masks(pencil_masks(d))
     ]
     total = 0
@@ -357,7 +399,7 @@ def _subset_average(d: Design, s: int, score) -> Fraction:
         size = _tally_is(planes, s - j, full)
         for high in map(_mask, combinations(range(w, v), j)):
             misses = (
-                size & ~reduce(or_, tables, 0) for sep, tables in separators if not sep & high
+                size & _avoiding(t, shifts) for sep, t, shifts in separators if not sep & high
             )
             total += score(size, misses)
     return Fraction(total, comb(v, s))

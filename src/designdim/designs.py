@@ -39,7 +39,7 @@ verdict: each call checks afresh.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import groupby, zip_longest
+from itertools import chain, groupby, zip_longest
 
 from .fields import make_field, prime_power
 
@@ -201,12 +201,22 @@ def pencil_masks(d: Design) -> list[int]:
 
 
 def _build_pencils(d: Design) -> tuple[int, ...]:
-    pencils = [0] * d.point_count
-    for j, b in enumerate(d.blocks):
-        bit = 1 << j
-        for x in b:
-            pencils[x] |= bit
-    return tuple(pencils)
+    """The pencils, or ValueError naming the first block that holds an
+    index outside 0..v-1.  One pass for the least index keeps a negative
+    one from wrapping round the list; one past the top raises IndexError."""
+    v = d.point_count
+    pencils = [0] * v
+    try:
+        if min(chain.from_iterable(d.blocks), default=0) >= 0:
+            for j, b in enumerate(d.blocks):
+                bit = 1 << j
+                for x in b:
+                    pencils[x] |= bit
+            return tuple(pencils)
+    except IndexError:
+        pass
+    i = next(i for i, b in enumerate(d.blocks) if not all(0 <= x < v for x in b))
+    raise ValueError(f"block {i} contains an out-of-range point")
 
 
 # ---------------------------------------------------------------------------

@@ -323,12 +323,34 @@ def _assert_exhaustive_matches_reference(designs, reference_subset_average):
             ), (name, s)
 
 
+def test_avoiding_tables_are_the_subsets_that_miss_the_separator():
+    """Bit t of a miss table is set exactly when the subset t of the first
+    w blocks misses sep_low: looked up for the first LOOKUP_BITS blocks,
+    then doubled by _avoiding for each later block outside sep_low.  Every
+    sep_low up to 9 blocks, below, at and past the looked-up blocks, and
+    seeded ones at 12 and 16."""
+    def reference(sep_low, w):
+        return sum(1 << t for t in range(1 << w) if not t & sep_low)
+
+    rng = random.Random(0)
+    cases = [(p, w) for w in range(10) for p in range(1 << w)]
+    cases += [(rng.getrandbits(w), w) for w in (12, 16) for _ in range(20)]
+    for sep_low, w in cases:
+        r = min(w, dd.bounds.LOOKUP_BITS)
+        t = dd.bounds._lookup_tables(r)[sep_low & ((1 << r) - 1)]
+        assert t == reference(sep_low & ((1 << r) - 1), r), (sep_low, r)
+        shifts = dd.bounds._doublings(r, w)[sep_low >> r]
+        assert dd.bounds._avoiding(t, shifts) == reference(sep_low, w), (sep_low, w)
+
+
 def test_exhaustive_past_one_table_on_pg4(corpus):
     """PG(2,4) has v = 21 blocks, 5 past one truth table: the outer loop
     over their assignments still gives the closed form at every s, no
     success while 2^s < v signatures cannot tell the points apart, certain
-    success once s > v - m, and a peak heap far below the 2^21-subset
-    table that one width would need."""
+    success once s > v - m, and a peak heap under 512 KiB, where the 21
+    truth tables of one full width would take 5.25 MiB.  Single-table ba4
+    at s = 8, 120 separators of 8 KiB tables, stays under it too: each
+    separator's miss table is dropped once scored."""
     d = corpus["pg4"]
     v, m = d.v, 2 * (d.k - d.lam)
     for s in range(v + 1):
@@ -337,14 +359,15 @@ def test_exhaustive_past_one_table_on_pg4(corpus):
             assert dd.exhaustive_success_rate(d, s) == 0, s
         elif s > v - m:
             assert dd.exhaustive_success_rate(d, s) == 1, s
-    tracemalloc.start()
-    try:
-        dd.exhaustive_expected_unresolved(d, 10)
-        dd.exhaustive_success_rate(d, 10)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 << 20
+    for d, s in ((d, 10), (corpus["ba4"], 8)):
+        tracemalloc.start()
+        try:
+            dd.exhaustive_expected_unresolved(d, s)
+            dd.exhaustive_success_rate(d, s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 << 10, (d.v, s, peak)
 
 
 def test_exhaustive_small_s_on_pg7_takes_narrow_tables():
@@ -352,7 +375,7 @@ def test_exhaustive_small_s_on_pg7_takes_narrow_tables():
     pairs of the first 16 blocks, and 862 chunks would each scan it whole;
     the width chosen from s and v takes narrow tables, and the average over
     the 1 596 pairs of blocks equals the closed form in well under a second
-    (about 0.6 s on a 2-core x86-64 host).  Up to TABLE_BITS blocks one
+    (about 0.3 s on a 2-core x86-64 host).  Up to TABLE_BITS blocks one
     table spans them all at every s."""
     d = dd.projective_plane(7)
     assert dd.bounds._table_width(d.v, 2) < dd.bounds.TABLE_BITS

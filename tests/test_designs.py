@@ -71,6 +71,29 @@ def test_masks_are_fresh_lists_of_the_same_bitsets(corpus):
             assert type(first) is list and first == second and first is not second, name
 
 
+@pytest.mark.parametrize("bad", [-1, 7, -8, 100])
+@pytest.mark.parametrize("at", [0, 4])
+def test_pencils_reject_out_of_range_points(fano, bad, at):
+    """An index outside 0..v-1 in an unvalidated design's block raises
+    ValueError in validation's words, not a wrapped pencil or a bare
+    IndexError, and so does every public caller of the pencils."""
+    blocks = list(fano.blocks)
+    blocks[at] = (*blocks[at][:2], bad)
+    broken = dataclasses.replace(fano, blocks=tuple(blocks))
+    message = f"block {at} contains an out-of-range point"
+    assert dd.validate_design(dataclasses.replace(broken)).violations == (message,)
+    for call in (
+        designs.pencil_masks,
+        lambda d: dd.monte_carlo_success(d, 3, trials=5),
+        lambda d: dd.exhaustive_expected_unresolved(d, 3),
+        lambda d: dd.exhaustive_success_rate(d, 3),
+        dd.symm_diff_sizes,
+        lambda d: dd.semi_resolving_witness(d, [0, 1, 2]),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call(dataclasses.replace(broken))
+
+
 def test_perturbed_fano_is_invalid(fano):
     blk = list(fano.blocks[0])
     outside = next(x for x in range(7) if x not in blk)

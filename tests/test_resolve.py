@@ -355,10 +355,20 @@ def test_seeded_samples_match_the_randrange_definition(reference_seeded_samples,
             assert got == list(reference_seeded_samples(n, s, seed, 30)), (n, s, seed)
 
 
-def test_markov_style_success_frequency(fano):
-    """With E = 3/5 at s = 3, at least a 2/5 fraction of samples succeed."""
-    exact = dd.exhaustive_success_rate(fano, 3)
-    assert exact >= Fraction(2, 5)
+def test_markov_style_success_frequency(fano, small_corpus):
+    """The existence argument: a sample fails to semi-resolve only if it
+    leaves a pair unresolved, so the success rate is at least 1 - E, and
+    some s-subset succeeds whenever E < 1.  Checked by full enumeration at
+    every s of the small corpus and its duals; at s = 3 on the Fano plane,
+    E = 3/5, the seeded samples succeed at least 2/5 of the time too."""
+    designs = {**small_corpus, **{f"dual {n}": dd.dual(d) for n, d in small_corpus.items()}}
+    for name, d in designs.items():
+        for s in range(d.v + 1):
+            rate = dd.exhaustive_success_rate(d, s)
+            expected = dd.exhaustive_expected_unresolved(d, s)
+            assert rate >= 1 - expected, (name, s)
+            assert rate > 0 or expected >= 1, (name, s)
+    assert dd.exhaustive_success_rate(fano, 3) >= Fraction(2, 5)
     mc = dd.monte_carlo_success(fano, 3, trials=500, seed=0)
     assert mc.rate >= 0.4 - 3 * mc.stderr
 
